@@ -24,16 +24,13 @@ from .errors import (
     SchemaError,
     SpeclatError,
 )
-from .family import SpectralFamily, element_of, evaluate, family_of, merged_breakpoints
+from .family import SpectralFamily, element_of, family_of, merged_breakpoints
 from .isos import (
     DirectSumIso,
     FactorCanonicalIso,
     JordanIso,
     OrderIsoOracle,
     ProjectionIsomorphism,
-    canonical_apply,
-    ds_iso_apply,
-    jordan_apply,
     theta_apply,
 )
 from .linalg import EigenSystem, eigh, is_psd, orthonormal_range

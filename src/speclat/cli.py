@@ -10,7 +10,6 @@ JSON object.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -135,7 +134,8 @@ def _cmd_order(args, tol, report: Report) -> int:
     return 0 if holds else 1
 
 
-def _cmd_meet_join(args, tol, report: Report, which: str) -> int:
+def _cmd_meet_join(args, tol, report: Report) -> int:
+    which = args.command
     parsed = [parse_element(path, tol) for path in args.elements]
     report.inputs = {f"element[{i}]": file_digest(p) for i, p in enumerate(args.elements)}
     cones = {cone for _, cone in parsed}
@@ -242,12 +242,12 @@ def _scalar_grid(cone: str, points: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, points)
 
 
-def _cmd_decompose(args, tol, report: Report, seed: int) -> int:
+def _cmd_decompose(args, tol, report: Report) -> int:
     iso = parse_iso(args.iso, tol)
     report.inputs = {"iso": file_digest(args.iso)}
     oracle = OrderIsoOracle.from_iso(iso, tol)
     try:
-        dec = DirectSumIsoDecomposer(n_verify=args.samples, random_state=seed, tol=tol).fit(oracle)
+        dec = DirectSumIsoDecomposer(n_verify=args.samples, random_state=report.seed, tol=tol).fit(oracle)
     except DecompositionError as exc:
         report.add_verdict("blockwise decomposition", False, detail=str(exc))
         return 1
@@ -277,11 +277,11 @@ def _cmd_decompose(args, tol, report: Report, seed: int) -> int:
     return 0
 
 
-def _cmd_verify_iso(args, tol, report: Report, seed: int) -> int:
+def _cmd_verify_iso(args, tol, report: Report) -> int:
     iso = parse_iso(args.iso, tol)
     report.inputs = {"iso": file_digest(args.iso)}
     oracle = OrderIsoOracle.from_iso(iso, tol)
-    rng = rng_from(seed)
+    rng = rng_from(report.seed)
     ok_order = True
     ok_inverse = True
     worst_inverse = 0.0
@@ -316,7 +316,7 @@ def _cmd_verify_iso(args, tol, report: Report, seed: int) -> int:
     report.add_verdict("inverse composes to identity", ok_inverse, residual=worst_inverse)
     exit_code = 0 if (ok_order and ok_inverse) else 1
     if args.ortho:
-        check = is_orthoiso(oracle, trials=args.trials, random_state=seed, tol=tol)
+        check = is_orthoiso(oracle, trials=args.trials, random_state=report.seed, tol=tol)
         report.flags.extend(f for f in check.flags if f not in report.flags)
         if check.ok:
             report.add_verdict("orthogonality preserved", True)
@@ -344,13 +344,28 @@ def _join_with_random(block: np.ndarray, rng, cone: str, tol) -> np.ndarray:
     return spec_join([block, other], cone, tol)
 
 
-def _cmd_selftest(args, tol, report: Report, seed: int) -> int:
-    results = run_selftest(seed=seed, trials=args.trials, tol=tol)
+def _cmd_selftest(args, tol, report: Report) -> int:
+    results = run_selftest(seed=report.seed, trials=args.trials, tol=tol)
     for res in results:
         report.add_verdict(res.name, res.passed, residual=res.residual, detail=res.detail)
         if res.witness is not None:
             report.witnesses.append({"check": res.name, **res.witness})
     return 0 if all(r.passed for r in results) else 1
+
+
+_COMMANDS = {
+    "order": _cmd_order,
+    "meet": _cmd_meet_join,
+    "join": _cmd_meet_join,
+    "family": _cmd_family,
+    "posneg": _cmd_posneg,
+    "atoms": _cmd_atoms,
+    "center": _cmd_center,
+    "apply-iso": _cmd_apply_iso,
+    "decompose": _cmd_decompose,
+    "verify-iso": _cmd_verify_iso,
+    "selftest": _cmd_selftest,
+}
 
 
 def run_command(argv) -> tuple[int, Report]:
@@ -364,30 +379,8 @@ def run_command(argv) -> tuple[int, Report]:
         tol = _tolerances(args)
     except ValueError as exc:
         raise SpeclatError(str(exc)) from None
-    seed = _seed(args)
-    report = Report(command=args.command, seed=seed)
-    if args.command == "order":
-        code = _cmd_order(args, tol, report)
-    elif args.command in ("meet", "join"):
-        code = _cmd_meet_join(args, tol, report, args.command)
-    elif args.command == "family":
-        code = _cmd_family(args, tol, report)
-    elif args.command == "posneg":
-        code = _cmd_posneg(args, tol, report)
-    elif args.command == "atoms":
-        code = _cmd_atoms(args, tol, report)
-    elif args.command == "center":
-        code = _cmd_center(args, tol, report)
-    elif args.command == "apply-iso":
-        code = _cmd_apply_iso(args, tol, report)
-    elif args.command == "decompose":
-        code = _cmd_decompose(args, tol, report, seed)
-    elif args.command == "verify-iso":
-        code = _cmd_verify_iso(args, tol, report, seed)
-    elif args.command == "selftest":
-        code = _cmd_selftest(args, tol, report, seed)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise SpeclatError(f"unknown command {args.command!r}")
+    report = Report(command=args.command, seed=_seed(args))
+    code = _COMMANDS[args.command](args, tol, report)
     return code, report
 
 

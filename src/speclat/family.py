@@ -94,20 +94,15 @@ def family_of(x, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
     eigenvalue at most l_i.
     """
     es = eigh(x, tol)
-    n = es.n
-    breakpoints = []
     cumulative = []
-    count = 0
-    for group in es.clusters:
-        count += len(group)
-        breakpoints.append(float(np.mean(es.values[list(group)])))
+    for count in es.offsets[:-1]:
         basis = es.vectors[:, :count]
         p = basis @ basis.conj().T
         cumulative.append((p + p.conj().T) / 2.0)
-    cumulative[-1] = np.eye(n, dtype=np.complex128)
+    cumulative.append(np.eye(es.n, dtype=np.complex128))
     # ascending prefix projections of an orthonormal eigenbasis satisfy the
     # axioms by construction
-    return SpectralFamily(breakpoints, cumulative, tol, validate=False)
+    return SpectralFamily(es.breakpoints, cumulative, tol, validate=False)
 
 
 def element_of(family: SpectralFamily) -> np.ndarray:
@@ -121,13 +116,9 @@ def element_of(family: SpectralFamily) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def evaluate(family: SpectralFamily, lam: float) -> np.ndarray:
-    """Right-continuous step lookup (module-level alias of the method)."""
-    return family.evaluate(lam)
-
-
 def merged_breakpoints(families, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Comparison grid for a collection of families.
+    """Comparison grid for a collection of families, or of anything else
+    with ascending breakpoints (an EigenSystem, for example).
 
     The union of all breakpoints is clustered with gap eps_eig; each cluster
     is represented by its maximum, the first point at which every member

@@ -9,10 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement, _check_profiles
-from .errors import ConeError, DimensionMismatchError, SpeclatError
+from .errors import DimensionMismatchError, SpeclatError
 from .linalg import eigh, orthonormal_range, range_basis
 from .monotone import MonotoneBijection
-from .order import SELF_ADJOINT, check_cone, cone_domain
+from .order import SELF_ADJOINT, check_cone, check_scalar_map
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import max_abs
 
@@ -110,10 +110,7 @@ def _transported_spectrum(tau: ProjectionIsomorphism, x, f, tol: ToleranceConfig
     es = eigh(x, tol)
     if tau.n != es.n:
         raise DimensionMismatchError(f"tau acts on dimension {tau.n}, element has {es.n}")
-    vals = np.empty(es.n)
-    for group in es.clusters:
-        members = list(group)
-        vals[members] = float(np.mean(es.values[members]))
+    vals = np.repeat(es.breakpoints, [len(group) for group in es.clusters])
     if f is not None:
         vals = f(vals)
     basis = es.vectors.conj() if tau.antilinear else es.vectors
@@ -126,11 +123,6 @@ def theta_apply(tau: ProjectionIsomorphism, x, tol: ToleranceConfig = DEFAULT_TO
     """Transport the spectral family of x through tau: the result has the
     same breakpoints and cumulative projections tau(E^x_l)."""
     return _transported_spectrum(tau, x, None, tol)
-
-
-def jordan_apply(psi: JordanIso, x) -> np.ndarray:
-    """Apply a Jordan map; spectrum and orthogonality relations survive."""
-    return psi.apply(x)
 
 
 @dataclass(frozen=True)
@@ -161,13 +153,7 @@ class FactorCanonicalIso:
 
     def apply(self, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         h = check_cone(x, self.cone, tol)
-        lo, hi = cone_domain(self.cone)
-        for endpoint in (lo, hi):
-            if np.isfinite(endpoint) and not self.f.fixes(endpoint, atol=tol.eps_recon):
-                raise ConeError(
-                    f"scalar map does not fix {endpoint:g}, so it is not a bijection "
-                    f"of the {self.cone!r} domain"
-                )
+        check_scalar_map(self.f, self.cone, tol)
         return _transported_spectrum(self.tau, h, self.f, tol)
 
     def inverse(self) -> "FactorCanonicalIso":
@@ -177,10 +163,6 @@ class FactorCanonicalIso:
             self.cone,
             jordan=self.jordan.inverse() if self.jordan is not None else None,
         )
-
-
-def canonical_apply(c: FactorCanonicalIso, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    return c.apply(x, tol)
 
 
 @dataclass(frozen=True)
@@ -244,10 +226,6 @@ class DirectSumIso:
             tuple(inv_blocks),
             self.cone,
         )
-
-
-def ds_iso_apply(phi: DirectSumIso, x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL):
-    return phi.apply(x, tol)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,13 @@ construction and positivity tests, all under one tolerance policy."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SpeclatError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .validation import check_hermitian, max_abs
+from .validation import check_hermitian
 
 _PHASE_FLOOR = 1e-12
 
@@ -38,6 +39,22 @@ class EigenSystem:
     def n(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def breakpoints(self) -> np.ndarray:
+        """Mean eigenvalue of each cluster, ascending."""
+        # np.mean of a single value is 0.0 + value, bit for bit; skipping the
+        # call on singleton clusters keeps the bits and saves most of the cost
+        return np.array([
+            0.0 + self.values[group[0]] if len(group) == 1 else float(np.mean(self.values[list(group)]))
+            for group in self.clusters
+        ])
+
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """Column count up to and including each cluster: vectors[:, :offsets[i]]
+        spans the spectral projection at breakpoints[i]."""
+        return tuple(group[-1] + 1 for group in self.clusters)
+
 
 def _normalize_phase(column: np.ndarray) -> np.ndarray:
     for entry in column:
@@ -64,25 +81,21 @@ def eigh(x, tol: ToleranceConfig = DEFAULT_TOL) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise SpeclatError(f"eigensolver did not converge: {exc}") from None
 
-    clusters: list[list[int]] = [[0]]
+    starts = [0]
     for i in range(1, len(values)):
-        if values[i] - values[clusters[-1][0]] <= tol.eps_eig and values[i] - values[i - 1] <= tol.eps_eig:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+        if not (values[i] - values[starts[-1]] <= tol.eps_eig and values[i] - values[i - 1] <= tol.eps_eig):
+            starts.append(i)
+    bounds = list(zip(starts, starts[1:] + [len(values)]))
 
     cols = [_normalize_phase(vectors[:, i]) for i in range(len(values))]
     order: list[int] = []
-    for group in clusters:
-        order.extend(sorted(group, key=lambda i: _first_support(cols[i])))
-    vectors = np.column_stack([cols[i] for i in order])
-    values = values[order]
-    grouped: list[tuple[int, ...]] = []
-    start = 0
-    for group in clusters:
-        grouped.append(tuple(range(start, start + len(group))))
-        start += len(group)
-    return EigenSystem(values=values, vectors=vectors, clusters=tuple(grouped))
+    for lo, hi in bounds:
+        order.extend(sorted(range(lo, hi), key=lambda i: _first_support(cols[i])))
+    return EigenSystem(
+        values=values[order],
+        vectors=np.column_stack([cols[i] for i in order]),
+        clusters=tuple(tuple(range(lo, hi)) for lo, hi in bounds),
+    )
 
 
 def reconstruct(es: EigenSystem) -> np.ndarray:

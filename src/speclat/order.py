@@ -1,8 +1,11 @@
 """The spectral order on Hermitian matrices.
 
 x precedes y when E^y_l <= E^x_l for every l, where E^x is the spectral
-family of x. All order tests and lattice operations reduce to finitely many
-projection comparisons at the merged breakpoints of the step families.
+family of x. Order tests read the clustered eigensystems directly: each
+spectral projection is a prefix span of an eigenbasis, so one product of
+the two bases decides the comparison at every merged breakpoint. Suprema
+are pointwise projection meets at the merged breakpoints; since x -> -x
+reverses the order, infima are the negated suprema of the negations.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from .errors import ConeError, DimensionMismatchError, InvalidFamilyError
 from .family import SpectralFamily, element_of, family_of, merged_breakpoints
 from .linalg import eigh
 from .monotone import MonotoneBijection
-from .projections import proj_join, proj_leq, proj_meet
+from .projections import proj_meet
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, check_same_dim, max_abs, proj_rank
 
@@ -49,21 +52,47 @@ def cone_domain(cone: str) -> tuple[float, float]:
     return (-np.inf, np.inf)
 
 
+def check_scalar_map(f: MonotoneBijection, cone: str, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Refuse a scalar map that does not fix the finite endpoints of the
+    cone's domain, since it is then not a bijection of that domain."""
+    for endpoint in cone_domain(cone):
+        if np.isfinite(endpoint) and not f.fixes(endpoint, atol=tol.eps_recon):
+            raise ConeError(
+                f"scalar map does not fix {endpoint:g}, so it is not a bijection "
+                f"of the {cone!r} domain"
+            )
+
+
 def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Spectral order test x <= y, i.e. E^y_l <= E^x_l for all l.
 
     Both step families are constant between their merged breakpoints, so
-    checking the projection order at each merged breakpoint decides the
-    comparison at every real l.
+    the merged breakpoints decide the comparison at every real l. At a
+    breakpoint l, E^x_l spans the first a eigenvectors of x and E^y_l the
+    first b of y, and E^y_l <= E^x_l exactly when the remaining n - a
+    eigenvectors of x are orthogonal to those b of y: every entry of
+    C[a:, :b] is at most eps_proj, where C = |V_x* V_y|. One running max
+    over C answers all breakpoints at once, and no projection is formed.
     """
-    fx = family_of(check_hermitian(x, tol, "x"), tol)
-    fy = family_of(check_hermitian(y, tol, "y"), tol)
-    if fx.n != fy.n:
-        raise DimensionMismatchError(f"dimension mismatch: {fx.n} vs {fy.n}")
-    for lam in merged_breakpoints([fx, fy], tol):
-        if not proj_leq(fy.evaluate(lam), fx.evaluate(lam), tol):
-            return False
-    return True
+    ex = eigh(check_hermitian(x, tol, "x"), tol)
+    ey = eigh(check_hermitian(y, tol, "y"), tol)
+    n = ex.n
+    if n != ey.n:
+        raise DimensionMismatchError(f"dimension mismatch: {n} vs {ey.n}")
+    # padded[a, b + 1] = C[a, b], with a zero last row and first column, so
+    # that after a suffix max over rows and a prefix max over columns,
+    # worst[a, b] = max C[a:, :b] (0 for the empty block)
+    padded = np.zeros((n + 1, n + 1))
+    padded[:n, 1:] = np.abs(ex.vectors.conj().T @ ey.vectors)
+    worst = np.maximum.accumulate(np.maximum.accumulate(padded[::-1], axis=0)[::-1], axis=1)
+    reps = merged_breakpoints([ex, ey], tol)
+
+    def columns_at(es) -> np.ndarray:
+        """Eigenvector count at or below each merged breakpoint."""
+        counts = np.array((0,) + es.offsets)
+        return counts[np.searchsorted(es.breakpoints, reps, side="right")]
+
+    return bool(np.all(worst[columns_at(ex), columns_at(ey)] <= tol.eps_proj))
 
 
 def _family_from_steps(reps, projs, tol: ToleranceConfig) -> SpectralFamily:
@@ -87,39 +116,37 @@ def _family_from_steps(reps, projs, tol: ToleranceConfig) -> SpectralFamily:
     return SpectralFamily(kept_b, kept_p, tol)
 
 
-def _validated_family_list(xs, cone: str, tol: ToleranceConfig) -> list[SpectralFamily]:
+def _validated(xs, cone: str, tol: ToleranceConfig) -> list[np.ndarray]:
     mats = [check_cone(x, cone, tol, name=f"element[{i}]") for i, x in enumerate(xs)]
     if not mats:
         raise DimensionMismatchError("supremum/infimum of an empty list")
     check_same_dim(*mats)
-    return [family_of(m, tol) for m in mats]
+    return mats
 
 
-def spec_join(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Supremum in the spectral order: the element whose family is the
-    pointwise projection meet of the input families."""
-    fams = _validated_family_list(xs, cone, tol)
+def _join(mats, tol: ToleranceConfig) -> np.ndarray:
+    """spec_join of matrices that are already validated."""
+    fams = [family_of(m, tol) for m in mats]
     reps = merged_breakpoints(fams, tol)
     projs = [proj_meet([f.evaluate(lam) for f in fams], tol) for lam in reps]
     return element_of(_family_from_steps(reps, projs, tol))
 
 
-def spec_meet(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Infimum in the spectral order.
+def spec_join(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Supremum in the spectral order: the element whose family is the
+    pointwise projection meet of the input families."""
+    return _join(_validated(xs, cone, tol), tol)
 
-    The family is the right limit (over mu > l) of the pointwise projection
-    join of the input families. The joined step function is constant between
-    consecutive merged breakpoints, so the limit at each breakpoint is
-    realized exactly by a lookup at the midpoint of the following gap (one
-    step past the last breakpoint at the end).
+
+def spec_meet(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Infimum in the spectral order, as the negated supremum of the
+    negations: x -> -x reverses the order, so inf(xs) = -sup(-xs).
+
+    The cones 'pos' and 'eff' are sublattices of the self-adjoint lattice,
+    so after the cone check the supremum is taken there, where -x lives.
     """
-    fams = _validated_family_list(xs, cone, tol)
-    reps = merged_breakpoints(fams, tol)
-    joined = [proj_join([f.evaluate(lam) for f in fams], tol) for lam in reps]
-    probes = np.append((reps[:-1] + reps[1:]) / 2.0, reps[-1] + 1.0)
-    idx = np.searchsorted(reps, probes, side="right") - 1
-    projs = [joined[i] for i in idx]
-    return element_of(_family_from_steps(reps, projs, tol))
+    # 0.0 - s rather than -s keeps zero entries unsigned (0.0, not -0.0)
+    return 0.0 - _join([-m for m in _validated(xs, cone, tol)], tol)
 
 
 def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -145,13 +172,7 @@ def apply_monotone(
     which for 'pos' and 'eff' pins the relevant endpoints.
     """
     h = check_cone(x, cone, tol)
-    lo, hi = cone_domain(cone)
-    for endpoint in (lo, hi):
-        if np.isfinite(endpoint) and not f.fixes(endpoint, atol=tol.eps_recon):
-            raise ConeError(
-                f"scalar map does not fix {endpoint:g}, so it is not a bijection "
-                f"of the {cone!r} domain"
-            )
+    check_scalar_map(f, cone, tol)
     fam = family_of(h, tol)
     mapped = SpectralFamily(f(fam.breakpoints), fam.cumulative, tol)
     return element_of(mapped)

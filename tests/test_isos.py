@@ -9,8 +9,6 @@ from speclat.isos import (
     JordanIso,
     OrderIsoOracle,
     ProjectionIsomorphism,
-    ds_iso_apply,
-    jordan_apply,
     theta_apply,
 )
 from speclat.linalg import eigh, orthonormal_range
@@ -85,10 +83,10 @@ def test_theta_transports_the_family():
 def test_jordan_identity_and_transpose(rng):
     x = random_hermitian(rng, 3)
     psi = JordanIso(np.eye(3))
-    np.testing.assert_allclose(jordan_apply(psi, x), x, atol=1e-12)
+    np.testing.assert_allclose(psi.apply(x), x, atol=1e-12)
     flip = JordanIso(np.eye(2), transpose=True)
     y = np.array([[0.0, 1j], [-1j, 0.0]])
-    np.testing.assert_allclose(jordan_apply(flip, y), np.array([[0.0, -1j], [1j, 0.0]]))
+    np.testing.assert_allclose(flip.apply(y), np.array([[0.0, -1j], [1j, 0.0]]))
 
 
 def test_jordan_preserves_spectrum_and_orthogonality(rng):
@@ -97,11 +95,11 @@ def test_jordan_preserves_spectrum_and_orthogonality(rng):
         psi = JordanIso(random_unitary(rng, n), transpose=bool(rng.integers(2)))
         x = random_hermitian(rng, n)
         np.testing.assert_allclose(
-            eigh(jordan_apply(psi, x)).values, eigh(x).values, atol=1e-9
+            eigh(psi.apply(x)).values, eigh(x).values, atol=1e-9
         )
         p = random_projection(rng, n)
         q = np.eye(n) - p
-        assert max_abs(jordan_apply(psi, p) @ jordan_apply(psi, q)) <= 1e-9
+        assert max_abs(psi.apply(p) @ psi.apply(q)) <= 1e-9
 
 
 def test_jordan_rejects_non_unitary():
@@ -152,7 +150,7 @@ def test_direct_sum_iso_identity_and_swap(rng):
     profile = BlockProfile((2, 2))
     ident = DirectSumIso.identity(profile)
     x = random_ds_element(rng, profile, "sa")
-    out = ds_iso_apply(ident, x)
+    out = ident.apply(x)
     assert all(max_abs(a - b) <= 1e-9 for a, b in zip(out.blocks, x.blocks))
 
     swap = DirectSumIso(

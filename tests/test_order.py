@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from speclat.errors import ConeError, DimensionMismatchError
-from speclat.family import family_of
-from speclat.linalg import is_psd
+from speclat.family import family_of, merged_breakpoints
+from speclat.linalg import eigh, is_psd
 from speclat.monotone import MonotoneBijection
 from speclat.order import (
     apply_monotone,
@@ -21,8 +21,11 @@ from speclat.sampling import (
     random_commuting_family,
     random_effect,
     random_hermitian,
+    random_in_cone,
     random_projection,
     random_psd,
+    random_unitary,
+    random_with_spectrum,
 )
 from speclat.validation import max_abs
 
@@ -62,6 +65,53 @@ def test_spec_leq_coincides_with_projection_order(rng):
         p = random_projection(rng, n)
         q = random_projection(rng, n)
         assert spec_leq(p, q) == proj_leq(p, q)
+
+
+TIE_GRID = {"sa": [-1.0, 0.0, 0.5, 2.0], "pos": [0.0, 0.5, 1.0, 3.0], "eff": [0.0, 0.25, 0.5, 1.0]}
+
+
+def _pairs(rng, n, cone):
+    """Generic, tied, tied-comparable, tied-commuting and x <= x v z pairs
+    in the cone."""
+    grid = np.array(TIE_GRID[cone])
+    x = random_in_cone(rng, n, cone)
+    yield x, random_in_cone(rng, n, cone)
+    yield x, spec_join([x, random_in_cone(rng, n, cone)], cone)
+    lo = rng.integers(0, len(grid), n)
+    tied = random_with_spectrum(rng, grid[lo])
+    yield tied, random_with_spectrum(rng, grid[rng.integers(0, len(grid), n)])
+    # commuting with ties, in a random basis and in permuted coordinates
+    # (exact zero overlaps): pointwise larger eigenvalues are comparable,
+    # independent ones mostly not
+    hi = np.minimum(lo + rng.integers(0, 2, n), len(grid) - 1)
+    other = rng.integers(0, len(grid), n)
+    for u in (random_unitary(rng, n), np.eye(n)[rng.permutation(n)]):
+        x, y, z = ((u * grid[k]) @ u.conj().T for k in (lo, hi, other))
+        yield x, y
+        yield x, z
+
+
+def test_spec_leq_matches_projection_definition(rng):
+    """spec_leq against its definition: E^y_l <= E^x_l at every merged
+    breakpoint, with the families' cumulative projections."""
+    verdicts = []
+    for n in (2, 3, 4, 5, 6, 16):
+        for cone in ("sa", "pos", "eff"):
+            for _ in range(6):
+                for a, b in _pairs(rng, n, cone):
+                    for x, y in ((a, b), (b, a)):
+                        fx, fy = family_of(x), family_of(y)
+                        expected = all(
+                            proj_leq(fy.evaluate(lam), fx.evaluate(lam))
+                            for lam in merged_breakpoints([fx, fy])
+                        )
+                        assert spec_leq(x, y) == expected
+                        verdicts.append(expected)
+                    es = eigh(a)
+                    old = [float(np.mean(es.values[list(g)])) for g in es.clusters]
+                    assert es.breakpoints.tobytes() == family_of(a).breakpoints.tobytes()
+                    assert es.breakpoints.tobytes() == np.array(old).tobytes()
+    assert 0.2 < np.mean(verdicts) < 0.8
 
 
 def test_partial_order_axioms(rng):
