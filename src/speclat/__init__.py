@@ -19,6 +19,7 @@ from .errors import (
     DecompositionError,
     DimensionMismatchError,
     InvalidFamilyError,
+    NonFiniteError,
     NonHermitianError,
     NotMonotoneError,
     SchemaError,

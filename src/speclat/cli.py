@@ -35,9 +35,8 @@ from .io import (
     parse_iso,
 )
 from .isos import OrderIsoOracle
-from .recover import DirectSumIsoDecomposer, is_orthoiso
+from .recover import DirectSumIsoDecomposer, is_orthoiso, sample_scalar_action
 from .sampling import random_ds_element, rng_from
-from .selftest import run_selftest, sample_scalar_action
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import max_abs
 
@@ -345,6 +344,10 @@ def _join_with_random(block: np.ndarray, rng, cone: str, tol) -> np.ndarray:
 
 
 def _cmd_selftest(args, tol, report: Report) -> int:
+    # the battery is imported only for this command, keeping it out of the
+    # start-up of every other one
+    from .selftest import run_selftest
+
     results = run_selftest(seed=report.seed, trials=args.trials, tol=tol)
     for res in results:
         report.add_verdict(res.name, res.passed, residual=res.residual, detail=res.detail)

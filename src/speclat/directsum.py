@@ -192,7 +192,7 @@ def ds_spec_join(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> Di
     blocks = [
         spec_join([x.blocks[j] for x in xs], cone, tol) for j in range(len(profile))
     ]
-    return DirectSumElement(profile, blocks)
+    return DirectSumElement(profile, blocks, validate=False)
 
 
 def ds_spec_meet(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumElement:
@@ -203,14 +203,14 @@ def ds_spec_meet(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> Di
     blocks = [
         spec_meet([x.blocks[j] for x in xs], cone, tol) for j in range(len(profile))
     ]
-    return DirectSumElement(profile, blocks)
+    return DirectSumElement(profile, blocks, validate=False)
 
 
 def ds_pos_neg_parts(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL):
     """Blockwise positive and negative parts."""
     parts = [pos_neg_parts(b, tol) for b in x.blocks]
-    plus = DirectSumElement(x.profile, [p for p, _ in parts])
-    minus = DirectSumElement(x.profile, [m for _, m in parts])
+    plus = DirectSumElement(x.profile, [p for p, _ in parts], validate=False)
+    minus = DirectSumElement(x.profile, [m for _, m in parts], validate=False)
     return plus, minus
 
 

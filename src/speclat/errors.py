@@ -16,6 +16,10 @@ class NonHermitianError(SpeclatError):
     """Input matrix is not Hermitian within the configured tolerance."""
 
 
+class NonFiniteError(SpeclatError):
+    """Input matrix has a NaN or infinite entry."""
+
+
 class DimensionMismatchError(SpeclatError):
     """Operands have incompatible dimensions or profiles."""
 

@@ -204,8 +204,11 @@ def load_json(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+    def refuse(literal: str):
+        raise SchemaError(f"{path}: {literal} is not a finite number")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: malformed JSON ({exc})") from None
     if not isinstance(doc, dict):

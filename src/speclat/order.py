@@ -4,21 +4,23 @@ x precedes y when E^y_l <= E^x_l for every l, where E^x is the spectral
 family of x. Order tests read the clustered eigensystems directly: each
 spectral projection is a prefix span of an eigenbasis, so one product of
 the two bases decides the comparison at every merged breakpoint. Suprema
-are pointwise projection meets at the merged breakpoints; since x -> -x
-reverses the order, infima are the negated suprema of the negations.
+are pointwise projection meets at the merged breakpoints, found inside the
+first operand's eigenbasis: at each breakpoint a small Gram matrix, with
+proj_meet's eps_proj rule, gives the directions the meet gains there, and
+no n x n projection is formed. Since x -> -x reverses the order, infima are
+the negated suprema of the negations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConeError, DimensionMismatchError, InvalidFamilyError
+from .errors import ConeError, DimensionMismatchError
 from .family import SpectralFamily, element_of, family_of, merged_breakpoints
 from .linalg import eigh
 from .monotone import MonotoneBijection
-from .projections import proj_meet
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .validation import check_hermitian, check_same_dim, max_abs, proj_rank
+from .validation import check_hermitian, check_same_dim, max_abs
 
 SELF_ADJOINT = "sa"
 POSITIVE = "pos"
@@ -63,6 +65,12 @@ def check_scalar_map(f: MonotoneBijection, cone: str, tol: ToleranceConfig = DEF
             )
 
 
+def _columns_at(es, reps) -> np.ndarray:
+    """Eigenvector count of es at or below each merged breakpoint."""
+    counts = np.array((0,) + es.offsets)
+    return counts[np.searchsorted(es.breakpoints, reps, side="right")]
+
+
 def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Spectral order test x <= y, i.e. E^y_l <= E^x_l for all l.
 
@@ -86,34 +94,7 @@ def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     padded[:n, 1:] = np.abs(ex.vectors.conj().T @ ey.vectors)
     worst = np.maximum.accumulate(np.maximum.accumulate(padded[::-1], axis=0)[::-1], axis=1)
     reps = merged_breakpoints([ex, ey], tol)
-
-    def columns_at(es) -> np.ndarray:
-        """Eigenvector count at or below each merged breakpoint."""
-        counts = np.array((0,) + es.offsets)
-        return counts[np.searchsorted(es.breakpoints, reps, side="right")]
-
-    return bool(np.all(worst[columns_at(ex), columns_at(ey)] <= tol.eps_proj))
-
-
-def _family_from_steps(reps, projs, tol: ToleranceConfig) -> SpectralFamily:
-    """Compress a monotone step sequence into a valid spectral family,
-    keeping only the breakpoints where the rank jumps."""
-    kept_b: list[float] = []
-    kept_p: list[np.ndarray] = []
-    prev_rank = 0
-    for lam, p in zip(reps, projs):
-        r = proj_rank(p)
-        if r < prev_rank:
-            raise InvalidFamilyError("projection steps decreased in rank")
-        if r > prev_rank:
-            kept_b.append(float(lam))
-            kept_p.append(p)
-            prev_rank = r
-    n = projs[0].shape[0]
-    if prev_rank != n:
-        raise InvalidFamilyError("projection steps never reach the identity")
-    kept_p[-1] = np.eye(n, dtype=np.complex128)
-    return SpectralFamily(kept_b, kept_p, tol)
+    return bool(np.all(worst[_columns_at(ex, reps), _columns_at(ey, reps)] <= tol.eps_proj))
 
 
 def _validated(xs, cone: str, tol: ToleranceConfig) -> list[np.ndarray]:
@@ -125,16 +106,54 @@ def _validated(xs, cone: str, tol: ToleranceConfig) -> list[np.ndarray]:
 
 
 def _join(mats, tol: ToleranceConfig) -> np.ndarray:
-    """spec_join of matrices that are already validated."""
-    fams = [family_of(m, tol) for m in mats]
-    reps = merged_breakpoints(fams, tol)
-    projs = [proj_meet([f.evaluate(lam) for f in fams], tol) for lam in reps]
-    return element_of(_family_from_steps(reps, projs, tol))
+    """spec_join of matrices that are already validated.
+
+    E^join_l is the meet of the E^m_l, so it lies in the first operand's
+    E_l, the span of its first a eigenvectors V[:, :a]. A vector V[:, :a] c
+    lies in another operand's E_l, the span of its first b eigenvectors
+    V_k[:, :b], exactly when C_k[:a, b:]* c = 0, where C_k = V* V_k. So on
+    the first operand's range, sum_k C_k[:a, b:] C_k[:a, b:]* is the Gram
+    sum_i (1 - P_i) of proj_meet, and its eigenvectors with eigenvalue at
+    most eps_proj span the meet. Adding Q Q*, for the directions Q found
+    at earlier breakpoints, leaves only the directions new at l. Each new
+    direction carries l as its eigenvalue in the result.
+    """
+    systems = [eigh(m, tol) for m in mats]
+    first = systems[0]
+    n = first.n
+    cross = [first.vectors.conj().T @ es.vectors for es in systems[1:]]
+    reps = merged_breakpoints(systems, tol)
+    counts = [_columns_at(es, reps) for es in systems]
+    # columns of q: orthonormal directions of the join in first.vectors
+    # coordinates, in the order they appear
+    q = np.zeros((n, n), dtype=np.complex128)
+    values = np.empty(n)
+    found = 0
+    for i, lam in enumerate(reps):
+        a = counts[0][i]
+        if a <= found:
+            continue
+        known = q[:a, :found]
+        gram = known @ known.conj().T
+        for c, b in zip(cross, counts[1:]):
+            outside = c[:a, b[i]:]
+            gram += outside @ outside.conj().T
+        w, u = np.linalg.eigh(gram)
+        # every family is the identity at the last breakpoint, so all the
+        # remaining directions are new there
+        fresh = a - found if i == len(reps) - 1 else int(np.count_nonzero(w <= tol.eps_proj))
+        q[:a, found : found + fresh] = u[:, :fresh]
+        values[found : found + fresh] = lam
+        found += fresh
+    basis = first.vectors @ q
+    x = (basis * values) @ basis.conj().T
+    return (x + x.conj().T) / 2.0
 
 
 def spec_join(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Supremum in the spectral order: the element whose family is the
-    pointwise projection meet of the input families."""
+    pointwise projection meet of the input families, computed in the first
+    operand's eigenbasis with the eps_proj null-space rule of proj_meet."""
     return _join(_validated(xs, cone, tol), tol)
 
 

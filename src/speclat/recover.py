@@ -391,6 +391,19 @@ def decompose_sa_iso(oracle: OrderIsoOracle, **params):
     return dec.shift_, dec.permutation_, dec.block_oracles_
 
 
+def sample_scalar_action(oracle: OrderIsoOracle, grid) -> np.ndarray:
+    """Scalars of the images of l * identity along the grid; the oracle must
+    already be reduced to a single factor."""
+    n = oracle.domain_profile.dims[0]
+    values = []
+    for lam in grid:
+        y = oracle.forward(
+            DirectSumElement(oracle.domain_profile, [lam * np.eye(n)])
+        ).blocks[0]
+        values.append(float(np.real(np.trace(y))) / n)
+    return np.asarray(values)
+
+
 @dataclass(frozen=True)
 class OrthoCheck:
     """Outcome of an orthogonality-preservation scan."""

@@ -28,7 +28,7 @@ from .linalg import is_psd
 from .monotone import MonotoneBijection
 from .order import distributive_check, pos_neg_parts, spec_join, spec_leq, spec_meet
 from .projections import proj_join, proj_leq
-from .recover import DirectSumIsoDecomposer, is_orthoiso
+from .recover import DirectSumIsoDecomposer, is_orthoiso, sample_scalar_action
 from .sampling import (
     random_commuting_family,
     random_direct_sum_iso,
@@ -503,19 +503,6 @@ def motivating_iso() -> DirectSumIso:
         FactorCanonicalIso(MonotoneBijection.power(3.0), ProjectionIsomorphism.identity(2), "sa"),
     )
     return DirectSumIso(profile, profile, (0, 1), blocks, "sa")
-
-
-def sample_scalar_action(oracle: OrderIsoOracle, grid) -> np.ndarray:
-    """Scalars of the images of l * identity along the grid; the oracle must
-    already be reduced to a single factor."""
-    n = oracle.domain_profile.dims[0]
-    values = []
-    for lam in grid:
-        y = oracle.forward(
-            DirectSumElement(oracle.domain_profile, [lam * np.eye(n)])
-        ).blocks[0]
-        values.append(float(np.real(np.trace(y))) / n)
-    return np.asarray(values)
 
 
 def check_motivating_example(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonHermitianError
+from .errors import DimensionMismatchError, NonFiniteError, NonHermitianError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 
@@ -30,10 +30,14 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def check_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Validate hermiticity within eps_proj and return the exactly
-    symmetrized matrix (A + A*)/2."""
+    symmetrized matrix (A + A*)/2. Entries that are not finite are refused."""
     m = as_square_matrix(a, name)
     residual = max_abs(m - m.conj().T)
-    if residual > tol.eps_proj:
+    # a NaN or infinite entry makes the residual NaN or infinite, so the
+    # finiteness test runs only when this one fails
+    if not residual <= tol.eps_proj:
+        if not np.isfinite(m).all():
+            raise NonFiniteError(f"{name} has entries that are not finite (NaN or infinite)")
         raise NonHermitianError(
             f"{name} is not Hermitian: max |A - A*| = {residual:.3e} > {tol.eps_proj:.1e}"
         )

@@ -47,6 +47,16 @@ def test_order_profile_mismatch_is_input_error(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_order_nan_document_is_input_error(workdir, capsys):
+    write_diag(workdir / "x.json", [1.0, 2.0])
+    write_diag(workdir / "y.json", [2.0, 3.0])
+    path = workdir / "x.json"
+    path.write_text(path.read_text().replace("1.0", "NaN", 1))
+    code = main(["order", str(path), str(workdir / "y.json")])
+    assert code == 2
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error(workdir, capsys):
     code = main(["family", str(workdir / "nope.json")])
     assert code == 2

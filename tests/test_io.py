@@ -114,3 +114,12 @@ def test_malformed_json_file(tmp_path):
         parse_element(path)
     with pytest.raises(SchemaError, match="cannot read"):
         parse_element(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literal_is_refused(tmp_path, literal):
+    path = tmp_path / "x.json"
+    doc = element_to_doc(DirectSumElement(BlockProfile((1,)), [np.eye(1)]), "sa")
+    path.write_text(json.dumps(doc).replace("1.0", literal, 1), encoding="utf-8")
+    with pytest.raises(SchemaError, match=literal):
+        parse_element(path)

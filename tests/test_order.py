@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from speclat.errors import ConeError, DimensionMismatchError
-from speclat.family import family_of, merged_breakpoints
+from speclat.errors import ConeError, DimensionMismatchError, NonFiniteError
+from speclat.family import SpectralFamily, element_of, family_of, merged_breakpoints
 from speclat.linalg import eigh, is_psd
 from speclat.monotone import MonotoneBijection
 from speclat.order import (
@@ -27,7 +27,8 @@ from speclat.sampling import (
     random_unitary,
     random_with_spectrum,
 )
-from speclat.validation import max_abs
+from speclat.tolerances import ToleranceConfig
+from speclat.validation import max_abs, proj_rank
 
 # Loewner-true / spectral-false separation pair
 X_SEP = np.diag([1.0, 0.0]).astype(complex)
@@ -112,6 +113,77 @@ def test_spec_leq_matches_projection_definition(rng):
                     assert es.breakpoints.tobytes() == family_of(a).breakpoints.tobytes()
                     assert es.breakpoints.tobytes() == np.array(old).tobytes()
     assert 0.2 < np.mean(verdicts) < 0.8
+
+
+def _join_by_definition(xs):
+    """The supremum from its definition: the pointwise proj_meet of the
+    families at every merged breakpoint, compressed to the rank jumps."""
+    fams = [family_of(x) for x in xs]
+    n = fams[0].n
+    kept_b, kept_p, prev = [], [], 0
+    for lam in merged_breakpoints(fams):
+        p = proj_meet([f.evaluate(lam) for f in fams])
+        rank = proj_rank(p)
+        assert rank >= prev
+        if rank > prev:
+            kept_b.append(lam)
+            kept_p.append(p)
+            prev = rank
+    assert prev == n
+    kept_p[-1] = np.eye(n, dtype=complex)
+    return element_of(SpectralFamily(kept_b, kept_p))
+
+
+def test_join_and_meet_match_projection_definition(rng):
+    """spec_join and spec_meet against the pointwise projection meet of the
+    families (the meet as the negated join of the negations), over pairs,
+    x v x, three-operand lists and 1 x 1 matrices."""
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 16, 32):
+        for cone in ("sa", "pos", "eff"):
+            for _ in range(3 if n <= 8 else 1):
+                cases = [[a, b] for a, b in _pairs(rng, n, cone)]
+                x = random_in_cone(rng, n, cone)
+                cases.append([x, x])
+                cases.append([x, random_in_cone(rng, n, cone), cases[2][0]])
+                for xs in cases:
+                    expected = _join_by_definition(xs)
+                    assert max_abs(spec_join(xs, cone) - expected) <= 1e-12
+                    expected = 0.0 - _join_by_definition([-m for m in xs])
+                    assert max_abs(spec_meet(xs, cone) - expected) <= 1e-12
+
+
+def test_join_reaches_identity_at_last_breakpoint(rng):
+    """Every family is the identity at the last merged breakpoint, so the
+    join's remaining directions take it there, even under a rank threshold
+    below rounding: the spectrum stays on the merged breakpoints."""
+    tiny = ToleranceConfig(eps_proj=1e-300)
+    for n in range(2, 9):
+        for _ in range(5):
+            x, y = random_hermitian(rng, n), random_hermitian(rng, n)
+            reps = merged_breakpoints([eigh(x), eigh(y)])
+            got = np.linalg.eigvalsh(spec_join([x, y], "sa", tiny))
+            assert np.all(np.min(np.abs(got[:, None] - reps[None, :]), axis=1) <= 1e-12)
+            assert abs(got[-1] - reps[-1]) <= 1e-12
+
+
+NAN, INF, EYE = np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]), np.eye(2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda: spec_leq(NAN, EYE),
+        lambda: spec_leq(INF, EYE),
+        lambda: spec_join([NAN, EYE]),
+        lambda: is_psd(NAN),
+    ],
+    ids=["spec_leq-nan", "spec_leq-inf", "spec_join-nan", "is_psd-nan"],
+)
+def test_non_finite_input_is_refused(probe):
+    """A NaN or infinite entry is an input error, not a verdict."""
+    with pytest.raises(NonFiniteError, match="not finite"):
+        probe()
 
 
 def test_partial_order_axioms(rng):
