@@ -24,6 +24,11 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 SCHEMA_VERSION = "1"
 
 
+def _is_number(v, kinds=(int, float)) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(v, kinds) and not isinstance(v, bool)
+
+
 def matrix_to_json(m) -> list:
     m = np.asarray(m, dtype=np.complex128)
     return [[[float(v.real), float(v.imag)] for v in row] for row in m]
@@ -41,7 +46,7 @@ def matrix_from_json(data, path: str) -> np.ndarray:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)
+                or not all(_is_number(v) for v in pair)
             ):
                 raise SchemaError(f"{path}[{i}][{j}]: complex entries are [re, im] pairs")
             out[i, j] = complex(pair[0], pair[1])
@@ -61,7 +66,7 @@ def _check_version(doc: dict, where: str) -> None:
 
 
 def _profile_from_json(data, where: str) -> BlockProfile:
-    if not isinstance(data, list) or not all(isinstance(d, int) and d > 0 for d in data):
+    if not isinstance(data, list) or not all(_is_number(d, int) and d > 0 for d in data):
         raise SchemaError(f"{where}: profile must be a list of positive integers")
     return BlockProfile(tuple(data))
 
@@ -185,7 +190,7 @@ def iso_from_doc(doc: dict, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumIso:
     if cone not in CONES:
         raise SchemaError(f"iso.cone: expected one of {CONES}, got {cone!r}")
     pi = _require(doc, "pi", "iso")
-    if not isinstance(pi, list) or not all(isinstance(k, int) for k in pi):
+    if not isinstance(pi, list) or not all(_is_number(k, int) for k in pi):
         raise SchemaError("iso.pi: expected a list of integers")
     raw = _require(doc, "blocks", "iso")
     if not isinstance(raw, list) or len(raw) != len(dom):

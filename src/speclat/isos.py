@@ -5,16 +5,17 @@ isomorphisms, and blockwise direct-sum isomorphisms with a permutation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement, _check_profiles
 from .errors import DimensionMismatchError, SpeclatError
-from .linalg import eigh, orthonormal_range, range_basis
+from .linalg import EigenSystem, eigh, orthonormal_range, range_basis
 from .monotone import MonotoneBijection
-from .order import SELF_ADJOINT, check_cone, check_scalar_map
+from .order import SELF_ADJOINT, _check_cone_name, _check_spectrum, check_scalar_map, endpoint_deviations
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .validation import max_abs
+from .validation import check_hermitian, max_abs
 
 
 @dataclass(frozen=True)
@@ -98,19 +99,25 @@ class JordanIso:
         return ProjectionIsomorphism(self.u, antilinear=self.transpose)
 
 
-def _transported_spectrum(tau: ProjectionIsomorphism, x, f, tol: ToleranceConfig) -> np.ndarray:
-    """Core of Theta_tau (optionally after a scalar map f).
+def _check_tau_dim(tau: ProjectionIsomorphism, n: int) -> None:
+    if tau.n != n:
+        raise DimensionMismatchError(f"tau acts on dimension {tau.n}, element has {n}")
+
+
+def _transported_spectrum(tau: ProjectionIsomorphism, es: EigenSystem, f) -> np.ndarray:
+    """Core of Theta_tau (optionally after a scalar map f), from the
+    clustered eigensystem of a validated element.
 
     The cumulative ranges of x are the prefix spans of its eigenbasis V, so
     their images under tau are the prefix spans of T V (coordinates
     conjugated first when antilinear). One unpivoted QR orthonormalizes all
     prefixes at once, and the transported element is Q diag(f(l)) Q* with
-    each eigenvalue replaced by its cluster breakpoint.
+    each eigenvalue replaced by its cluster breakpoint. A scalar element
+    c * 1 needs none of this: tau(1) = 1, so it maps to f(c) * 1 exactly,
+    which FactorCanonicalIso.apply returns without calling here.
     """
-    es = eigh(x, tol)
-    if tau.n != es.n:
-        raise DimensionMismatchError(f"tau acts on dimension {tau.n}, element has {es.n}")
-    vals = np.repeat(es.breakpoints, [len(group) for group in es.clusters])
+    _check_tau_dim(tau, es.n)
+    vals = es.column_breakpoints
     if f is not None:
         vals = f(vals)
     basis = es.vectors.conj() if tau.antilinear else es.vectors
@@ -122,7 +129,7 @@ def _transported_spectrum(tau: ProjectionIsomorphism, x, f, tol: ToleranceConfig
 def theta_apply(tau: ProjectionIsomorphism, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Transport the spectral family of x through tau: the result has the
     same breakpoints and cumulative projections tau(E^x_l)."""
-    return _transported_spectrum(tau, x, None, tol)
+    return _transported_spectrum(tau, eigh(x, tol), None)
 
 
 @dataclass(frozen=True)
@@ -151,10 +158,30 @@ class FactorCanonicalIso:
         Jordan map and the Jordan form is remembered for serialization."""
         return cls(f, psi.as_projection_iso(), cone, jordan=psi)
 
+    @cached_property
+    def _endpoint_deviations(self) -> tuple[tuple[float, float], ...]:
+        return endpoint_deviations(self.f, self.cone)
+
     def apply(self, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        h = check_cone(x, self.cone, tol)
-        check_scalar_map(self.f, self.cone, tol)
-        return _transported_spectrum(self.tau, h, self.f, tol)
+        """Theta_tau(f(x)) after one validation of x.
+
+        An element that is exactly c * 1, entry for entry, maps to
+        f(c) * 1 (tau fixes the identity) with no eigensolve. Any other
+        element is decomposed once, and its cone membership is read from
+        that eigensystem before the spectrum is transported.
+        """
+        _check_cone_name(self.cone)
+        h = check_hermitian(x, tol, "element")
+        n = h.shape[0]
+        c = 0.0 + h[0, 0].real  # 0.0 + keeps a zero scalar unsigned, as breakpoints are
+        # c * 1 needs no eigensystem: its spectrum is its diagonal
+        es = None if np.array_equal(h, c * np.eye(n)) else eigh(h, tol, validated=True)
+        _check_spectrum(h.diagonal().real if es is None else es.values, self.cone, tol, "element")
+        check_scalar_map(self._endpoint_deviations, self.cone, tol)
+        if es is None:
+            _check_tau_dim(self.tau, n)
+            return np.diag(np.full(n, self.f(c), dtype=np.complex128))
+        return _transported_spectrum(self.tau, es, self.f)
 
     def inverse(self) -> "FactorCanonicalIso":
         return FactorCanonicalIso(

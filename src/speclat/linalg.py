@@ -49,6 +49,12 @@ class EigenSystem:
             for group in self.clusters
         ])
 
+    @property
+    def column_breakpoints(self) -> np.ndarray:
+        """The breakpoint of each column: eigenvalues replaced by the mean
+        of their cluster."""
+        return np.repeat(self.breakpoints, [len(group) for group in self.clusters])
+
     @cached_property
     def offsets(self) -> tuple[int, ...]:
         """Column count up to and including each cluster: vectors[:, :offsets[i]]
@@ -68,14 +74,20 @@ def _first_support(column: np.ndarray) -> int:
     return int(idx[0]) if idx.size else len(column)
 
 
-def eigh(x, tol: ToleranceConfig = DEFAULT_TOL) -> EigenSystem:
+def eigh(
+    x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix", validated: bool = False
+) -> EigenSystem:
     """Eigendecomposition with deterministic ordering and clustering.
 
     Eigenvalues come out ascending; within a cluster the columns are
     phase-normalized and stably ordered by the index of their first
     supported component, so identical inputs give identical outputs.
+
+    x passes through check_hermitian first, with name in its error
+    messages; a caller that already holds check_hermitian's output passes
+    validated=True so that the matrix is checked once.
     """
-    h = check_hermitian(x, tol)
+    h = x if validated else check_hermitian(x, tol, name)
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConeError, DimensionMismatchError
-from .family import SpectralFamily, element_of, family_of, merged_breakpoints
-from .linalg import eigh
+from .errors import ConeError, DimensionMismatchError, InvalidFamilyError
+from .family import merged_breakpoints
+from .linalg import EigenSystem, eigh
 from .monotone import MonotoneBijection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, check_same_dim, max_abs
@@ -28,20 +28,46 @@ EFFECT = "eff"
 CONES = (SELF_ADJOINT, POSITIVE, EFFECT)
 
 
-def check_cone(x, cone: str, tol: ToleranceConfig = DEFAULT_TOL, name: str = "element") -> np.ndarray:
-    """Validate cone membership (sa / pos / eff) and return the symmetrized
-    matrix."""
+def _check_cone_name(cone: str) -> None:
     if cone not in CONES:
         raise ConeError(f"unknown cone {cone!r}, expected one of {CONES}")
-    h = check_hermitian(x, tol, name)
+
+
+def _check_spectrum(values, cone: str, tol: ToleranceConfig, name: str) -> None:
+    """Refuse eigenvalues outside the cone."""
     if cone == SELF_ADJOINT:
-        return h
-    w = np.linalg.eigvalsh(h)
-    if w[0] < -tol.eps_proj:
-        raise ConeError(f"{name} has eigenvalue {w[0]:.3e} < 0, outside cone {cone!r}")
-    if cone == EFFECT and w[-1] > 1.0 + tol.eps_proj:
-        raise ConeError(f"{name} has eigenvalue {w[-1]:.10g} > 1, outside cone 'eff'")
+        return
+    lo, hi = values.min(), values.max()
+    if lo < -tol.eps_proj:
+        raise ConeError(f"{name} has eigenvalue {lo:.3e} < 0, outside cone {cone!r}")
+    if cone == EFFECT and hi > 1.0 + tol.eps_proj:
+        raise ConeError(f"{name} has eigenvalue {hi:.10g} > 1, outside cone 'eff'")
+
+
+def check_cone(x, cone: str, tol: ToleranceConfig = DEFAULT_TOL, name: str = "element") -> np.ndarray:
+    """Validate cone membership (sa / pos / eff) and return the symmetrized
+    matrix. Operations that go on to decompose x read membership from their
+    own eigensystem instead (_cone_eigh)."""
+    _check_cone_name(cone)
+    h = check_hermitian(x, tol, name)
+    if cone != SELF_ADJOINT:
+        _check_spectrum(np.linalg.eigvalsh(h), cone, tol, name)
     return h
+
+
+def _cone_eigh(
+    x, cone: str, tol: ToleranceConfig, name: str = "element", negate: bool = False
+) -> EigenSystem:
+    """One validated eigensolve of x, or of -x when negate is set, with the
+    cone membership of x read from that same spectrum."""
+    _check_cone_name(cone)
+    if negate:
+        # -x has the hermiticity residual of x, and check_hermitian(-x) is
+        # -check_hermitian(x) bit for bit
+        x = -np.asarray(x, dtype=np.complex128)
+    es = eigh(x, tol, name)
+    _check_spectrum(-es.values if negate else es.values, cone, tol, name)
+    return es
 
 
 def cone_domain(cone: str) -> tuple[float, float]:
@@ -54,11 +80,19 @@ def cone_domain(cone: str) -> tuple[float, float]:
     return (-np.inf, np.inf)
 
 
-def check_scalar_map(f: MonotoneBijection, cone: str, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    """Refuse a scalar map that does not fix the finite endpoints of the
-    cone's domain, since it is then not a bijection of that domain."""
-    for endpoint in cone_domain(cone):
-        if np.isfinite(endpoint) and not f.fixes(endpoint, atol=tol.eps_recon):
+def endpoint_deviations(f: MonotoneBijection, cone: str) -> tuple[tuple[float, float], ...]:
+    """(e, |f(e) - e|) for each finite endpoint e of the cone's scalar
+    domain. They depend on f and the cone only, so an isomorphism computes
+    them once."""
+    return tuple((e, abs(f(e) - e)) for e in cone_domain(cone) if np.isfinite(e))
+
+
+def check_scalar_map(deviations, cone: str, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    """Refuse a scalar map that moves a finite endpoint of the cone's domain
+    by more than eps_recon (deviations from endpoint_deviations), since it
+    is then not a bijection of that domain."""
+    for endpoint, deviation in deviations:
+        if not deviation <= tol.eps_recon:
             raise ConeError(
                 f"scalar map does not fix {endpoint:g}, so it is not a bijection "
                 f"of the {cone!r} domain"
@@ -82,8 +116,8 @@ def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     C[a:, :b] is at most eps_proj, where C = |V_x* V_y|. One running max
     over C answers all breakpoints at once, and no projection is formed.
     """
-    ex = eigh(check_hermitian(x, tol, "x"), tol)
-    ey = eigh(check_hermitian(y, tol, "y"), tol)
+    ex = eigh(x, tol, "x")
+    ey = eigh(y, tol, "y")
     n = ex.n
     if n != ey.n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {ey.n}")
@@ -97,16 +131,18 @@ def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return bool(np.all(worst[_columns_at(ex, reps), _columns_at(ey, reps)] <= tol.eps_proj))
 
 
-def _validated(xs, cone: str, tol: ToleranceConfig) -> list[np.ndarray]:
-    mats = [check_cone(x, cone, tol, name=f"element[{i}]") for i, x in enumerate(xs)]
-    if not mats:
+def _validated(xs, cone: str, tol: ToleranceConfig, negate: bool = False) -> list[EigenSystem]:
+    """The eigensystems of the operands (of their negations when negate is
+    set), each validated and checked against the cone once."""
+    systems = [_cone_eigh(x, cone, tol, f"element[{i}]", negate) for i, x in enumerate(xs)]
+    if not systems:
         raise DimensionMismatchError("supremum/infimum of an empty list")
-    check_same_dim(*mats)
-    return mats
+    check_same_dim(*(es.vectors for es in systems))
+    return systems
 
 
-def _join(mats, tol: ToleranceConfig) -> np.ndarray:
-    """spec_join of matrices that are already validated.
+def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
+    """spec_join from the operands' validated eigensystems.
 
     E^join_l is the meet of the E^m_l, so it lies in the first operand's
     E_l, the span of its first a eigenvectors V[:, :a]. A vector V[:, :a] c
@@ -118,7 +154,6 @@ def _join(mats, tol: ToleranceConfig) -> np.ndarray:
     at earlier breakpoints, leaves only the directions new at l. Each new
     direction carries l as its eigenvalue in the result.
     """
-    systems = [eigh(m, tol) for m in mats]
     first = systems[0]
     n = first.n
     cross = [first.vectors.conj().T @ es.vectors for es in systems[1:]]
@@ -163,9 +198,11 @@ def spec_meet(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) 
 
     The cones 'pos' and 'eff' are sublattices of the self-adjoint lattice,
     so after the cone check the supremum is taken there, where -x lives.
+    Each operand is decomposed once, as -x, and its cone membership is read
+    from the negated spectrum.
     """
     # 0.0 - s rather than -s keeps zero entries unsigned (0.0, not -0.0)
-    return 0.0 - _join([-m for m in _validated(xs, cone, tol)], tol)
+    return 0.0 - _join(_validated(xs, cone, tol, negate=True), tol)
 
 
 def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -185,16 +222,19 @@ def apply_monotone(
     f: MonotoneBijection, x, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Monotone functional calculus: eigenvalues pass through f, spectral
-    projections stay fixed.
+    projections stay fixed. The result is V diag(f(l)) V* in the clustered
+    eigenbasis V of x, each column carrying its cluster breakpoint l.
 
     f must be a strictly increasing bijection of the cone's scalar domain,
     which for 'pos' and 'eff' pins the relevant endpoints.
     """
-    h = check_cone(x, cone, tol)
-    check_scalar_map(f, cone, tol)
-    fam = family_of(h, tol)
-    mapped = SpectralFamily(f(fam.breakpoints), fam.cumulative, tol)
-    return element_of(mapped)
+    es = _cone_eigh(x, cone, tol)
+    check_scalar_map(endpoint_deviations(f, cone), cone, tol)
+    mapped = f(es.column_breakpoints)
+    if not np.all(np.isfinite(mapped)):
+        raise InvalidFamilyError("breakpoints must be finite")
+    out = (es.vectors * mapped) @ es.vectors.conj().T
+    return (out + out.conj().T) / 2.0
 
 
 def atom_scalar_decompose(
@@ -208,10 +248,11 @@ def atom_scalar_decompose(
     """
     if cone not in (POSITIVE, EFFECT):
         raise ConeError("atom decomposition is defined on cones 'pos' and 'eff'")
-    h = check_cone(x, cone, tol, "x")
+    h = check_hermitian(x, tol, "x")
+    es = eigh(h, tol, validated=True)
+    _check_spectrum(es.values, cone, tol, "x")
     if max_abs(h) <= tol.eps_proj:
         raise ConeError("x = 0 admits no atomic decomposition")
-    es = eigh(h, tol)
     significant = np.nonzero(es.values > tol.eps_proj)[0]
     if len(significant) != 1:
         return None
@@ -223,35 +264,18 @@ def atom_scalar_decompose(
 
 def is_central(z, profile, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff z is block-diagonal for the given factor profile with every
-    diagonal block a real scalar multiple of that block's identity."""
-    return central_scalars(z, profile, tol) is not None
-
-
-def central_scalars(z, profile, tol: ToleranceConfig = DEFAULT_TOL) -> list[float] | None:
-    """The per-block scalars of a central element, or None if z is not
-    central for the profile."""
+    diagonal block a real scalar multiple of that block's identity: z is
+    within eps_proj, entry by entry, of the block-diagonal matrix of the
+    mean diagonal entry of each block."""
     dims = tuple(getattr(profile, "dims", profile))
     h = check_hermitian(z, tol, "z")
     if h.shape[0] != sum(dims):
         raise DimensionMismatchError(
             f"matrix of dimension {h.shape[0]} does not fit profile {dims}"
         )
-    scalars: list[float] = []
-    offset_i = 0
-    for i, di in enumerate(dims):
-        offset_j = 0
-        for j, dj in enumerate(dims):
-            block = h[offset_i : offset_i + di, offset_j : offset_j + dj]
-            if i == j:
-                c = float(np.real(np.trace(block))) / di
-                if max_abs(block - c * np.eye(di)) > tol.eps_proj:
-                    return None
-                scalars.append(c)
-            elif max_abs(block) > tol.eps_proj:
-                return None
-            offset_j += dj
-        offset_i += di
-    return scalars
+    starts = np.cumsum((0,) + dims[:-1])
+    scalars = np.add.reduceat(np.real(np.diagonal(h)), starts) / np.array(dims)
+    return max_abs(h - np.diag(np.repeat(scalars, dims))) <= tol.eps_proj
 
 
 def distributive_check(

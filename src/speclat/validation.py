@@ -15,7 +15,7 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 def max_abs(a) -> float:
     """Entrywise max-norm; 0.0 for empty arrays."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -123,3 +123,27 @@ def test_non_finite_json_literal_is_refused(tmp_path, literal):
     path.write_text(json.dumps(doc).replace("1.0", literal, 1), encoding="utf-8")
     with pytest.raises(SchemaError, match=literal):
         parse_element(path)
+
+
+def test_boolean_matrix_entry_is_refused():
+    with pytest.raises(SchemaError, match=r"m\[0\]\[0\]"):
+        matrix_from_json([[[True, 0.0]]], "m")
+    with pytest.raises(SchemaError, match=r"m\[0\]\[1\]"):
+        matrix_from_json([[[1.0, 0.0], [0.0, False]], [[0.0, 0.0], [1.0, 0.0]]], "m")
+
+
+def test_boolean_profile_dimension_is_refused():
+    doc = element_to_doc(DirectSumElement(BlockProfile((1,)), [np.eye(1)]), "sa")
+    doc["profile"] = [True]
+    with pytest.raises(SchemaError, match="profile"):
+        element_from_doc(doc)
+
+
+def test_boolean_pi_entry_is_refused():
+    from speclat.selftest import motivating_iso
+
+    doc = iso_to_doc(motivating_iso())
+    assert doc["pi"] == [0, 1]
+    doc["pi"] = [False, True]
+    with pytest.raises(SchemaError, match="pi"):
+        iso_from_doc(doc)

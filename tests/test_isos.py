@@ -1,19 +1,28 @@
+import sys
+
 import numpy as np
 import pytest
 
+from speclat import validation
 from speclat.directsum import BlockProfile
-from speclat.errors import DimensionMismatchError, SpeclatError
+from speclat.errors import (
+    ConeError,
+    DimensionMismatchError,
+    NonFiniteError,
+    SpeclatError,
+)
 from speclat.isos import (
     DirectSumIso,
     FactorCanonicalIso,
     JordanIso,
     OrderIsoOracle,
     ProjectionIsomorphism,
+    _transported_spectrum,
     theta_apply,
 )
 from speclat.linalg import eigh, orthonormal_range
 from speclat.monotone import MonotoneBijection
-from speclat.order import apply_monotone, spec_leq
+from speclat.order import apply_monotone, spec_join, spec_leq, spec_meet
 from speclat.sampling import (
     random_ds_element,
     random_effect,
@@ -220,3 +229,135 @@ def test_oracle_from_iso_round_trip(rng):
 
     z = ds_spec_join([x, random_ds_element(rng, profile, "eff")], "eff")
     assert ds_spec_leq(oracle.forward(x), oracle.forward(z))
+
+
+SHEAR = np.array([[1.0, 0.5 - 0.25j, 0.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+
+
+def _error_of(call):
+    with pytest.raises(SpeclatError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_scalar_map_moving_an_endpoint_is_refused_on_every_block():
+    """A scalar map that does not fix 0 (or 1 on 'eff') is refused at apply
+    time with one ConeError, whether the block takes the scalar shortcut
+    or the eigensystem path."""
+    moves_zero = MonotoneBijection.piecewise_linear([0.0, 1.0], [0.1, 1.0])
+    moves_one = MonotoneBijection.piecewise_linear([0.0, 1.0], [0.0, 0.9])
+    cases = [("pos", moves_zero, "0"), ("eff", moves_zero, "0"), ("eff", moves_one, "1")]
+    for cone, f, endpoint in cases:
+        iso = FactorCanonicalIso(f, ProjectionIsomorphism.identity(2), cone)
+        errors = {
+            _error_of(lambda: iso.apply(x))
+            for x in (0.5 * np.eye(2), np.zeros((2, 2)), np.diag([0.2, 0.7]), random_effect(np.random.default_rng(1), 2))
+        }
+        assert errors == {
+            (ConeError, f"scalar map does not fix {endpoint}, so it is not a bijection of the {cone!r} domain")
+        }
+
+
+def test_scalar_shortcut_refuses_what_the_eigensystem_path_refuses():
+    f = MonotoneBijection.power(2.0)
+    eff = FactorCanonicalIso(f, ProjectionIsomorphism.identity(2), "eff")
+    pos = FactorCanonicalIso(f, ProjectionIsomorphism.identity(2), "pos")
+    with pytest.raises(ConeError, match="1.5 > 1"):
+        eff.apply(1.5 * np.eye(2))
+    with pytest.raises(ConeError, match="-5.000e-01 < 0"):
+        pos.apply(-0.5 * np.eye(2))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFiniteError):
+            eff.apply(np.diag([bad, bad]))
+    with pytest.raises(DimensionMismatchError, match="tau acts on dimension 2, element has 3"):
+        eff.apply(0.5 * np.eye(3))
+
+
+def test_cone_is_read_from_the_extreme_eigenvalues():
+    """Within a cluster eigh orders columns by support, so the first column
+    of diag(5e-10, -2e-9, 1) carries 5e-10; the cone check must still see
+    the eigenvalue -2e-9."""
+    x = np.diag([5e-10, -2e-9, 1.0]).astype(complex)
+    assert eigh(x).values[0] == 5e-10
+    iso = FactorCanonicalIso(MonotoneBijection.identity(), ProjectionIsomorphism.identity(3), "pos")
+    with pytest.raises(ConeError, match="-2.000e-09 < 0"):
+        iso.apply(x)
+    for operation in (spec_join, spec_meet):
+        with pytest.raises(ConeError, match="-2.000e-09 < 0"):
+            operation([x, x], "pos")
+    with pytest.raises(ConeError, match="-2.000e-09 < 0"):
+        apply_monotone(MonotoneBijection.identity(), x, "pos")
+
+
+def test_scalar_shortcut_agrees_with_the_transported_spectrum(rng):
+    """tau(1) = 1, so c * 1 maps to f(c) * 1: the shortcut agrees with the
+    general transport for unitary, shear and antilinear tau."""
+    taus = [
+        ProjectionIsomorphism(random_unitary(rng, 3)),
+        ProjectionIsomorphism(SHEAR),
+        ProjectionIsomorphism(SHEAR, antilinear=True),
+        ProjectionIsomorphism(random_unitary(rng, 3), antilinear=True),
+    ]
+    maps = {
+        "sa": MonotoneBijection.power(3.0),
+        "pos": MonotoneBijection.piecewise_linear([0.0, 0.5, 2.0], [0.0, 0.2, 1.5]),
+        "eff": MonotoneBijection.piecewise_linear([0.0, 0.3, 1.0], [0.0, 0.6, 1.0]),
+    }
+    scalars = {"sa": (-1.1, -0.3, 0.0, 0.7, 1.2), "pos": (0.0, 0.4, 1.0, 1.7), "eff": (0.0, 0.25, 0.5, 1.0)}
+    for cone, f in maps.items():
+        for tau in taus:
+            iso = FactorCanonicalIso(f, tau, cone)
+            for c in scalars[cone]:
+                x = c * np.eye(3, dtype=complex)
+                got = iso.apply(x)
+                assert np.array_equal(got, f(c) * np.eye(3))
+                assert max_abs(got - _transported_spectrum(tau, eigh(x), f)) <= 1e-14
+
+
+def _count_calls(monkeypatch, module, names, calls):
+    """Record the name of every call to module.<name> in calls."""
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_scalar_block_needs_no_eigensolve_and_no_qr(monkeypatch):
+    iso = FactorCanonicalIso(
+        MonotoneBijection.power(2.0), ProjectionIsomorphism(SHEAR), "eff"
+    )
+    calls = []
+    _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh", "qr"), calls)
+    for c in (0.0, 0.5, 1.0):
+        iso.apply(c * np.eye(3))
+    assert calls == []
+    iso.apply(np.diag([0.0, 0.5, 0.5]))
+    assert sorted(calls) == ["eigh", "qr"]
+
+
+def test_lattice_operations_validate_and_decompose_each_operand_once(monkeypatch, rng):
+    x, y = random_effect(rng, 4), random_effect(rng, 4)
+    eigvalsh_calls = []
+    _count_calls(monkeypatch, np.linalg, ("eigvalsh",), eigvalsh_calls)
+    hermitian_calls = []
+    original = validation.check_hermitian
+
+    def counted(a, *args, **kwargs):
+        hermitian_calls.append(id(a))
+        return original(a, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("speclat") and getattr(module, "check_hermitian", None) is original:
+            monkeypatch.setattr(module, "check_hermitian", counted)
+    spec_join([x, y], "eff")
+    assert eigvalsh_calls == []
+    assert hermitian_calls == [id(x), id(y)]
+    for operation in (lambda: spec_meet([x, y], "eff"), lambda: spec_leq(x, y)):
+        hermitian_calls.clear()
+        operation()
+        assert len(hermitian_calls) == 2
+    assert eigvalsh_calls == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speclat.errors import ConeError, DimensionMismatchError, NonFiniteError
+from speclat.errors import ConeError, DimensionMismatchError, InvalidFamilyError, NonFiniteError
 from speclat.family import SpectralFamily, element_of, family_of, merged_breakpoints
 from speclat.linalg import eigh, is_psd
 from speclat.monotone import MonotoneBijection
@@ -327,6 +327,31 @@ def test_apply_monotone_cone_domain_guard():
     f = MonotoneBijection.piecewise_linear([0.0, 1.0], [0.1, 1.0])
     with pytest.raises(ConeError):
         apply_monotone(f, np.diag([0.5, 0.5]).astype(complex), "eff")
+
+
+def test_apply_monotone_matches_family_formula(rng):
+    """V diag(f(l)) V* in the clustered eigenbasis equals the old
+    element_of(SpectralFamily(f(breakpoints), cumulative)) construction."""
+    maps = {
+        "sa": [MonotoneBijection.power(3.0), MonotoneBijection.piecewise_linear([-1.0, 0.0, 2.0], [-3.0, 0.5, 1.0])],
+        "pos": [MonotoneBijection.power(0.5), MonotoneBijection.piecewise_linear([0.0, 0.5, 3.0], [0.0, 1.0, 1.5])],
+        "eff": [MonotoneBijection.power(2.0), MonotoneBijection.piecewise_linear([0.0, 0.2, 1.0], [0.0, 0.7, 1.0])],
+    }
+    for trial in range(240):
+        cone = ("sa", "pos", "eff")[trial % 3]
+        n = 1 + trial % 6
+        lo, hi = {"sa": (-1.0, 2.0), "pos": (0.0, 3.0), "eff": (0.0, 1.0)}[cone]
+        values = np.sort(rng.uniform(lo, hi, n))
+        if trial % 2:
+            values[: n // 2 + 1] = values[0]  # tied
+        x = random_with_spectrum(rng, values)
+        for f in maps[cone]:
+            fam = family_of(x)
+            expected = element_of(SpectralFamily(f(fam.breakpoints), fam.cumulative))
+            assert max_abs(apply_monotone(f, x, cone) - expected) <= 1e-12
+    # a breakpoint that f sends to infinity is refused, as the family was
+    with pytest.raises(InvalidFamilyError, match="finite"):
+        apply_monotone(MonotoneBijection.power(5.0), np.diag([1e100, 1.0]))
 
 
 def test_atom_scalar_decompose_examples():
