@@ -282,7 +282,6 @@ def _cmd_verify_iso(args, tol, report: Report) -> int:
     oracle = OrderIsoOracle.from_iso(iso, tol)
     rng = rng_from(report.seed)
     ok_order = True
-    ok_inverse = True
     worst_inverse = 0.0
     for i in range(args.trials):
         x = random_ds_element(rng, iso.domain_profile, iso.cone)

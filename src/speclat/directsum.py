@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConeError, DimensionMismatchError
 from .family import SpectralFamily, family_of
-from .order import check_cone, pos_neg_parts, spec_join, spec_leq, spec_meet
+from .order import _cone_eigh, _rank_one_part, pos_neg_parts, spec_join, spec_leq, spec_meet
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, max_abs
 
@@ -176,14 +176,6 @@ def ds_spec_leq(x: DirectSumElement, y: DirectSumElement, tol: ToleranceConfig =
     return all(spec_leq(a, b, tol) for a, b in zip(x.blocks, y.blocks))
 
 
-def ds_check_cone(x: DirectSumElement, cone: str, tol: ToleranceConfig = DEFAULT_TOL) -> None:
-    for j, b in enumerate(x.blocks):
-        try:
-            check_cone(b, cone, tol, name=f"blocks[{j}]")
-        except ConeError as exc:
-            raise ConeError(str(exc)) from None
-
-
 def ds_spec_join(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumElement:
     """Blockwise supremum of a nonempty list of direct-sum elements."""
     profile = xs[0].profile
@@ -214,16 +206,20 @@ def ds_pos_neg_parts(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL):
     return plus, minus
 
 
+def scalar_block(block: np.ndarray, threshold: float, c: float | None = None) -> float | None:
+    """c when the block is within threshold of c * identity, entry by entry,
+    else None; c defaults to the block's mean diagonal entry."""
+    d = block.shape[0]
+    if c is None:
+        c = float(np.real(np.trace(block))) / d
+    return None if max_abs(block - c * np.eye(d)) > threshold else c
+
+
 def ds_central_scalars(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL) -> list[float] | None:
     """Per-block scalars when every block is a real multiple of its identity,
     else None."""
-    scalars = []
-    for b, d in zip(x.blocks, x.profile.dims):
-        c = float(np.real(np.trace(b))) / d
-        if max_abs(b - c * np.eye(d)) > tol.eps_proj:
-            return None
-        scalars.append(c)
-    return scalars
+    scalars = [scalar_block(b, tol.eps_proj) for b in x.blocks]
+    return None if None in scalars else scalars
 
 
 def ds_atom_scalar_decompose(
@@ -234,17 +230,17 @@ def ds_atom_scalar_decompose(
     Atoms of a direct sum live in a single factor, so this succeeds exactly
     when one block is a positive scalar multiple of a rank-one projection
     and every other block vanishes. Returns (alpha, block index, e) or None.
+    Each block is validated and decomposed once, and its cone membership is
+    read from that eigensystem.
     """
-    from .order import atom_scalar_decompose
-
-    ds_check_cone(x, cone, tol)
+    systems = [_cone_eigh(b, cone, tol, f"blocks[{j}]") for j, b in enumerate(x.blocks)]
     supported = [j for j, b in enumerate(x.blocks) if max_abs(b) > tol.eps_proj]
     if not supported:
         raise ConeError("x = 0 admits no atomic decomposition")
     if len(supported) != 1:
         return None
     j = supported[0]
-    found = atom_scalar_decompose(x.blocks[j], cone, tol)
+    found = _rank_one_part(systems[j], cone, tol)
     if found is None:
         return None
     alpha, e = found

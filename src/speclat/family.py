@@ -72,10 +72,6 @@ class SpectralFamily:
             return np.zeros((self.n, self.n), dtype=np.complex128)
         return self.cumulative[i]
 
-    def element(self) -> np.ndarray:
-        """The self-adjoint matrix this family encodes."""
-        return element_of(self)
-
     def steps(self):
         """Iterate (breakpoint, cumulative projection) pairs."""
         return zip(self.breakpoints, self.cumulative)

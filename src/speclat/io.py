@@ -100,9 +100,8 @@ def element_from_doc(
             raise SchemaError(
                 f"element.blocks[{j}]: shape {m.shape} does not match profile entry {d}"
             )
-        check_cone(m, cone, tol, name=f"element.blocks[{j}]")
-        blocks.append(m)
-    return DirectSumElement(profile, blocks, tol), cone
+        blocks.append(check_cone(m, cone, tol, name=f"element.blocks[{j}]"))
+    return DirectSumElement(profile, blocks, validate=False), cone
 
 
 def monotone_to_doc(f: MonotoneBijection) -> dict:

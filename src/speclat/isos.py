@@ -11,7 +11,7 @@ import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement, _check_profiles
 from .errors import DimensionMismatchError, SpeclatError
-from .linalg import EigenSystem, eigh, orthonormal_range, range_basis
+from .linalg import EigenSystem, _eigh_hermitian, eigh, orthonormal_range, range_basis
 from .monotone import MonotoneBijection
 from .order import SELF_ADJOINT, _check_cone_name, _check_spectrum, check_scalar_map, endpoint_deviations
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -175,7 +175,7 @@ class FactorCanonicalIso:
         n = h.shape[0]
         c = 0.0 + h[0, 0].real  # 0.0 + keeps a zero scalar unsigned, as breakpoints are
         # c * 1 needs no eigensystem: its spectrum is its diagonal
-        es = None if np.array_equal(h, c * np.eye(n)) else eigh(h, tol, validated=True)
+        es = None if np.array_equal(h, c * np.eye(n)) else _eigh_hermitian(h, tol)
         _check_spectrum(h.diagonal().real if es is None else es.values, self.cone, tol, "element")
         check_scalar_map(self._endpoint_deviations, self.cone, tol)
         if es is None:

@@ -74,9 +74,7 @@ def _first_support(column: np.ndarray) -> int:
     return int(idx[0]) if idx.size else len(column)
 
 
-def eigh(
-    x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix", validated: bool = False
-) -> EigenSystem:
+def eigh(x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> EigenSystem:
     """Eigendecomposition with deterministic ordering and clustering.
 
     Eigenvalues come out ascending; within a cluster the columns are
@@ -84,10 +82,14 @@ def eigh(
     supported component, so identical inputs give identical outputs.
 
     x passes through check_hermitian first, with name in its error
-    messages; a caller that already holds check_hermitian's output passes
-    validated=True so that the matrix is checked once.
+    messages.
     """
-    h = x if validated else check_hermitian(x, tol, name)
+    return _eigh_hermitian(check_hermitian(x, tol, name), tol)
+
+
+def _eigh_hermitian(h: np.ndarray, tol: ToleranceConfig) -> EigenSystem:
+    """The decomposition step of eigh, for a caller that already holds
+    check_hermitian's output, so that the matrix is checked once."""
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:

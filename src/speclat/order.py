@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConeError, DimensionMismatchError, InvalidFamilyError
 from .family import merged_breakpoints
-from .linalg import EigenSystem, eigh
+from .linalg import EigenSystem, _eigh_hermitian, eigh
 from .monotone import MonotoneBijection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, check_same_dim, max_abs
@@ -246,13 +246,19 @@ def atom_scalar_decompose(
     multiples of atomic projections are exactly the elements below which the
     order is total. Returns None when x has rank above one.
     """
-    if cone not in (POSITIVE, EFFECT):
-        raise ConeError("atom decomposition is defined on cones 'pos' and 'eff'")
     h = check_hermitian(x, tol, "x")
-    es = eigh(h, tol, validated=True)
+    es = _eigh_hermitian(h, tol)
     _check_spectrum(es.values, cone, tol, "x")
     if max_abs(h) <= tol.eps_proj:
         raise ConeError("x = 0 admits no atomic decomposition")
+    return _rank_one_part(es, cone, tol)
+
+
+def _rank_one_part(es: EigenSystem, cone: str, tol: ToleranceConfig):
+    """(alpha, e) with alpha * e the nonzero element decomposed in es, or
+    None when more than one of its eigenvalues exceeds eps_proj."""
+    if cone not in (POSITIVE, EFFECT):
+        raise ConeError("atom decomposition is defined on cones 'pos' and 'eff'")
     significant = np.nonzero(es.values > tol.eps_proj)[0]
     if len(significant) != 1:
         return None

@@ -23,11 +23,11 @@ from .directsum import (
     central_atoms,
     ds_central_scalars,
     embed_block,
+    scalar_block,
 )
 from .errors import DecompositionError, DimensionMismatchError, NotMonotoneError
-from .family import family_of
 from .isos import FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
-from .linalg import range_basis
+from .linalg import eigh
 from .monotone import MonotoneBijection
 from .order import EFFECT, SELF_ADJOINT
 from .sampling import random_ds_element, random_effect, random_unitary, rng_from
@@ -65,15 +65,6 @@ def _single_factor_dim(oracle: OrderIsoOracle) -> int:
     return dom.dims[0]
 
 
-def _top_vector(p: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    basis = range_basis(p, tol)
-    if basis.shape[1] != 1:
-        raise DecompositionError(
-            f"expected a rank-one projection image, got rank {basis.shape[1]}"
-        )
-    return basis[:, 0]
-
-
 def _unit_projection(v: np.ndarray) -> np.ndarray:
     v = v / np.linalg.norm(v)
     p = np.outer(v, v.conj())
@@ -88,7 +79,9 @@ class FactorCanonicalRecovery(BaseRecovery):
     image of l * identity, sampled on a uniform grid and carried as a
     piecewise-linear bijection. The projection map is read off images of
     complemented projections: the spectral family of the image of 1 - q is
-    constant between f(0) and f(1), and its value there is tau(q).
+    constant between f(0) and f(1), and its value there is tau(q), so tau(q)
+    is spanned by the one eigenvector of that image whose breakpoint is at
+    most the midpoint.
 
     Parameters
     ----------
@@ -121,8 +114,8 @@ class FactorCanonicalRecovery(BaseRecovery):
 
     def _scalar_image(self, oracle: OrderIsoOracle, lam: float, n: int) -> float:
         y = oracle.forward(embed_block(oracle.domain_profile, 0, lam * np.eye(n))).blocks[0]
-        c = float(np.real(np.trace(y))) / n
-        if max_abs(y - c * np.eye(n)) > 10 * self.tol.eps_recon:
+        c = scalar_block(y, 10 * self.tol.eps_recon)
+        if c is None:
             raise DecompositionError(
                 f"image of {lam:g} * identity is not scalar: the map does not "
                 "preserve the center, so it is not a spectral order isomorphism"
@@ -130,10 +123,15 @@ class FactorCanonicalRecovery(BaseRecovery):
         return c
 
     def _tau_image(self, oracle: OrderIsoOracle, q: np.ndarray, mid: float) -> np.ndarray:
-        n = q.shape[0]
-        comp = np.eye(n) - q
-        y = oracle.forward(embed_block(oracle.domain_profile, 0, comp)).blocks[0]
-        return family_of(y, self.tol).evaluate(mid)
+        """Unit vector spanning tau(q): the first eigenvector of the image of
+        1 - q, which must be the only one with breakpoint at most mid."""
+        comp = np.eye(q.shape[0]) - q
+        es = eigh(oracle.forward(embed_block(oracle.domain_profile, 0, comp)).blocks[0], self.tol)
+        below = np.searchsorted(es.breakpoints, mid, side="right")
+        rank = ((0,) + es.offsets)[below]
+        if rank != 1:
+            raise DecompositionError(f"expected a rank-one projection image, got rank {rank}")
+        return es.vectors[:, 0]
 
     def fit(self, oracle: OrderIsoOracle) -> "FactorCanonicalRecovery":
         if oracle.cone != EFFECT:
@@ -156,15 +154,10 @@ class FactorCanonicalRecovery(BaseRecovery):
         # tau on coordinate projections fixes the columns up to scale;
         # images of two-term superpositions fix the relative scales
         eye = np.eye(n, dtype=np.complex128)
-        t_cols = [
-            _top_vector(self._tau_image(oracle, _unit_projection(eye[:, i]), mid), tol)
-            for i in range(n)
-        ]
+        t_cols = [self._tau_image(oracle, _unit_projection(eye[:, i]), mid) for i in range(n)]
         columns = [t_cols[0]]
         for i in range(1, n):
-            w = _top_vector(
-                self._tau_image(oracle, _unit_projection(eye[:, 0] + eye[:, i]), mid), tol
-            )
+            w = self._tau_image(oracle, _unit_projection(eye[:, 0] + eye[:, i]), mid)
             pair = np.column_stack([t_cols[0], t_cols[i]])
             coeff, *_ = np.linalg.lstsq(pair, w, rcond=None)
             if abs(coeff[0]) < 1e-8:
@@ -176,7 +169,9 @@ class FactorCanonicalRecovery(BaseRecovery):
 
         antilinear = False
         if n >= 2:
-            probe = self._tau_image(oracle, _unit_projection(eye[:, 0] + 1j * eye[:, 1]), mid)
+            probe = _unit_projection(
+                self._tau_image(oracle, _unit_projection(eye[:, 0] + 1j * eye[:, 1]), mid)
+            )
             d_lin = max_abs(probe - _unit_projection(columns[0] + 1j * columns[1]))
             d_anti = max_abs(probe - _unit_projection(columns[0] - 1j * columns[1]))
             antilinear = d_anti < d_lin
@@ -238,24 +233,9 @@ class DirectSumIsoDecomposer(BaseRecovery):
         self.random_state = random_state
         self.tol = tol
 
-    def _match_central_atom(self, image: DirectSumElement, atoms, what: str) -> int:
-        """Index of the unique codomain central atom within threshold."""
-        threshold = 10 * self.tol.eps_recon
-        dists = [
-            max(max_abs(a - b) for a, b in zip(image.blocks, atom.blocks)) for atom in atoms
-        ]
-        matches = [k for k, d in enumerate(dists) if d <= threshold]
-        if not matches:
-            raise DecompositionError(
-                f"{what} is not a codomain central atom (best distance {min(dists):.3e}); "
-                "the map is not a spectral order isomorphism of this shape"
-            )
-        if len(matches) > 1:
-            raise DecompositionError(f"{what} matches several codomain central atoms")
-        return matches[0]
-
-    def _match_scalar_atom(self, image: DirectSumElement, sign: float, what: str) -> int:
-        """Index of the single block carrying sign * (positive scalar) * identity."""
+    def _match_scalar_atom(self, image: DirectSumElement, sign: float, what: str, cone: str) -> int:
+        """Index of the single block carrying sign * (positive scalar) * identity.
+        On effects the scalar must be 1: the image is a codomain central atom."""
         threshold = 10 * self.tol.eps_recon
         supported = [k for k, b in enumerate(image.blocks) if max_abs(b) > threshold]
         if len(supported) != 1:
@@ -263,21 +243,18 @@ class DirectSumIsoDecomposer(BaseRecovery):
                 f"{what} is supported on {len(supported)} blocks instead of one"
             )
         k = supported[0]
-        block = image.blocks[k]
-        d = block.shape[0]
-        c = float(np.real(np.trace(block))) / d
-        if max_abs(block - c * np.eye(d)) > threshold or sign * c <= 0:
-            raise DecompositionError(
-                f"{what} is not a {'positive' if sign > 0 else 'negative'} scalar "
-                "multiple of a codomain central atom"
-            )
+        unit = cone == EFFECT
+        c = scalar_block(image.blocks[k], threshold, 1.0 if unit else None)
+        if c is None or sign * c <= 0:
+            kind = "positive" if sign > 0 else "negative"
+            multiple = "" if unit else f"{kind} scalar multiple of a "
+            raise DecompositionError(f"{what} is not a {multiple}codomain central atom")
         return k
 
     def fit(self, oracle: OrderIsoOracle) -> "DirectSumIsoDecomposer":
         tol = self.tol
         dom, cod = oracle.domain_profile, oracle.codomain_profile
         zs = central_atoms(dom)
-        ws = central_atoms(cod)
 
         shift = None
         if oracle.cone == SELF_ADJOINT:
@@ -295,20 +272,17 @@ class DirectSumIsoDecomposer(BaseRecovery):
         def backward(y: DirectSumElement) -> DirectSumElement:
             return oracle.inverse(y + shift if shift is not None else y)
 
-        assignment: dict[int, int] = {}
-        for j, z in enumerate(zs):
-            if oracle.cone == EFFECT:
-                k = self._match_central_atom(forward(z), ws, f"image of central atom {j}")
-            else:
-                k = self._match_scalar_atom(forward(z), +1.0, f"image of central atom {j}")
-            assignment[j] = k
+        assignment = {
+            j: self._match_scalar_atom(forward(z), +1.0, f"image of central atom {j}", oracle.cone)
+            for j, z in enumerate(zs)
+        }
         if sorted(assignment.values()) != list(range(len(cod))):
             raise DecompositionError("central atom images do not induce a bijection of slots")
 
         if oracle.cone == SELF_ADJOINT:
             for j, z in enumerate(zs):
                 k_neg = self._match_scalar_atom(
-                    forward(-1.0 * z), -1.0, f"image of negated central atom {j}"
+                    forward(-1.0 * z), -1.0, f"image of negated central atom {j}", oracle.cone
                 )
                 if k_neg != assignment[j]:
                     raise DecompositionError(
@@ -348,14 +322,7 @@ class DirectSumIsoDecomposer(BaseRecovery):
         for _ in range(self.n_verify):
             x = random_ds_element(rng, dom, oracle.cone)
             expected = oracle.forward(x)
-            blocks = []
-            for k in range(len(cod)):
-                j = pi[k]
-                single = DirectSumElement(BlockProfile((dom.dims[j],)), [x.blocks[j]])
-                blocks.append(oracles[j].forward(single).blocks[0])
-            rebuilt = DirectSumElement(cod, blocks)
-            if shift is not None:
-                rebuilt = rebuilt + shift
+            rebuilt = reassemble(x, cod, pi, oracles, shift)
             for k, (a, b) in enumerate(zip(rebuilt.blocks, expected.blocks)):
                 per_block[k] = max(per_block[k], max_abs(a - b))
         worst = max(per_block)
@@ -372,6 +339,20 @@ class DirectSumIsoDecomposer(BaseRecovery):
         self.block_residuals_ = tuple(per_block)
         self.flags_ = ("type-I2",) if 2 in dom.dims else ()
         return self
+
+
+def reassemble(x: DirectSumElement, codomain: BlockProfile, permutation, block_oracles, shift):
+    """The image of x rebuilt from a decomposition: codomain slot k holds the
+    image of x's block j = permutation[k] under block_oracles[j], and the
+    central shift (None off the self-adjoint cone) is added back."""
+    blocks = [
+        block_oracles[j].forward(
+            DirectSumElement(block_oracles[j].domain_profile, [x.blocks[j]], validate=False)
+        ).blocks[0]
+        for j in permutation
+    ]
+    rebuilt = DirectSumElement(codomain, blocks, validate=False)
+    return rebuilt + shift if shift is not None else rebuilt
 
 
 def decompose_effect_iso(oracle: OrderIsoOracle, **params):

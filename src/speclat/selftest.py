@@ -28,7 +28,7 @@ from .linalg import is_psd
 from .monotone import MonotoneBijection
 from .order import distributive_check, pos_neg_parts, spec_join, spec_leq, spec_meet
 from .projections import proj_join, proj_leq
-from .recover import DirectSumIsoDecomposer, is_orthoiso, sample_scalar_action
+from .recover import DirectSumIsoDecomposer, is_orthoiso, reassemble, sample_scalar_action
 from .sampling import (
     random_commuting_family,
     random_direct_sum_iso,
@@ -424,13 +424,9 @@ def check_structure_recovery(
         for _ in range(fresh):
             x = random_ds_element(rng, profile, cone)
             expected = oracle.forward(x)
-            blocks = []
-            for j in dec.permutation_:
-                single = DirectSumElement(BlockProfile((profile.dims[j],)), [x.blocks[j]])
-                blocks.append(dec.block_oracles_[j].forward(single).blocks[0])
-            rebuilt = DirectSumElement(iso.codomain_profile, blocks)
-            if dec.shift_ is not None:
-                rebuilt = rebuilt + dec.shift_
+            rebuilt = reassemble(
+                x, iso.codomain_profile, dec.permutation_, dec.block_oracles_, dec.shift_
+            )
             worst_fresh = max(
                 worst_fresh,
                 max(max_abs(a - b) for a, b in zip(rebuilt.blocks, expected.blocks)),

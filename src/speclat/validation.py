@@ -44,17 +44,6 @@ def check_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix")
     return (m + m.conj().T) / 2.0
 
 
-def check_projection(p, tol: ToleranceConfig = DEFAULT_TOL, name: str = "projection") -> np.ndarray:
-    """Validate that p is an orthogonal projection within eps_proj."""
-    m = check_hermitian(p, tol, name)
-    residual = max_abs(m @ m - m)
-    if residual > tol.eps_proj:
-        raise NonHermitianError(
-            f"{name} is not idempotent: max |P^2 - P| = {residual:.3e} > {tol.eps_proj:.1e}"
-        )
-    return m
-
-
 def check_same_dim(*mats: np.ndarray) -> int:
     """All matrices square with one common dimension; returns it."""
     dims = {m.shape[0] for m in mats}

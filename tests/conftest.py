@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,29 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn) rebinds fn, wherever a loaded speclat module or
+    numpy.linalg holds it, to a wrapper that records each call's positional
+    arguments, and returns the list of records."""
+
+    def install(fn):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        owners = [m for n, m in sys.modules.items() if n == "speclat" or n.startswith("speclat.")]
+        for owner in owners + [np.linalg]:
+            for attr, obj in list(vars(owner).items()):
+                if obj is fn:
+                    monkeypatch.setattr(owner, attr, counting)
+        return calls
+
+    return install
 
 
 def pytest_configure(config):

@@ -18,7 +18,7 @@ from speclat.errors import ConeError, DimensionMismatchError
 from speclat.family import family_of, merged_breakpoints
 from speclat.order import spec_join, spec_leq
 from speclat.sampling import random_ds_element, random_hermitian
-from speclat.validation import max_abs
+from speclat.validation import check_hermitian, max_abs
 
 
 def test_profile_validation():
@@ -160,3 +160,26 @@ def test_arithmetic():
     np.testing.assert_allclose((x - y).blocks[0], np.diag([0.0, 1.0]))
     np.testing.assert_allclose((-x).blocks[0], np.diag([-1.0, -2.0]))
     np.testing.assert_allclose((2.0 * x).blocks[0], np.diag([2.0, 4.0]))
+
+
+def test_ds_atom_decompose_validates_and_decomposes_each_block_once(count_calls):
+    profile = BlockProfile((2, 3))
+    e = np.diag([1.0, 0.0]).astype(complex)
+    x = DirectSumElement(profile, [0.5 * e, np.zeros((3, 3))])
+    hermitian = count_calls(check_hermitian)
+    spectra = count_calls(np.linalg.eigvalsh)
+    solves = count_calls(np.linalg.eigh)
+    alpha, j, proj = ds_atom_scalar_decompose(x, "eff")
+    assert (alpha, j) == (pytest.approx(0.5), 0)
+    np.testing.assert_allclose(proj, e, atol=1e-12)
+    # one validation and one eigensolve per block, the cone read from it
+    assert len(hermitian) == 2
+    assert len(solves) == 2
+    assert spectra == []
+
+
+def test_ds_atom_decompose_cone_errors_name_the_block():
+    profile = BlockProfile((2, 2))
+    x = DirectSumElement(profile, [np.diag([0.5, 0.0]), np.diag([1.5, 0.0])])
+    with pytest.raises(ConeError, match=r"blocks\[1\] has eigenvalue 1.5 > 1"):
+        ds_atom_scalar_decompose(x, "eff")

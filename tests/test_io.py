@@ -18,7 +18,7 @@ from speclat.io import (
     parse_iso,
 )
 from speclat.sampling import random_direct_sum_iso, random_ds_element
-from speclat.validation import max_abs
+from speclat.validation import check_hermitian, max_abs
 
 
 def test_matrix_json_round_trip(rng):
@@ -147,3 +147,15 @@ def test_boolean_pi_entry_is_refused():
     doc["pi"] = [False, True]
     with pytest.raises(SchemaError, match="pi"):
         iso_from_doc(doc)
+
+
+@pytest.mark.parametrize("cone, eigvalsh_per_block", [("sa", 0), ("pos", 1), ("eff", 1)])
+def test_element_doc_validates_each_block_once(rng, count_calls, cone, eigvalsh_per_block):
+    doc = element_to_doc(random_ds_element(rng, BlockProfile((2, 3)), cone), cone)
+    hermitian = count_calls(check_hermitian)
+    spectra = count_calls(np.linalg.eigvalsh)
+    x, _ = element_from_doc(doc)
+    assert len(hermitian) == 2
+    assert len(spectra) == 2 * eigvalsh_per_block
+    # the blocks kept are check_hermitian's symmetrized output
+    assert all(np.array_equal(b, b.conj().T) for b in x.blocks)

@@ -270,3 +270,38 @@ def test_is_orthoiso_flags_shear(rng):
 def test_decomposer_get_params():
     dec = DirectSumIsoDecomposer(n_verify=7)
     assert dec.get_params()["n_verify"] == 7
+
+
+def test_effect_decomposer_rejects_half_atom_images():
+    """On effects the image of a central atom must be a codomain atom: a
+    map sending z_j to 0.5 * w_j is refused, although 0.5 * w_j is a
+    positive scalar multiple of w_j."""
+    profile = BlockProfile((2, 3))
+    oracle = OrderIsoOracle(profile, profile, "eff", lambda x: 0.5 * x, lambda y: 2.0 * y)
+    dec = DirectSumIsoDecomposer(random_state=0)
+    with pytest.raises(DecompositionError, match="is not a codomain central atom"):
+        dec.fit(oracle)
+    # a failed fit sets no fitted attributes
+    assert not hasattr(dec, "permutation_") and not hasattr(dec, "block_oracles_")
+
+
+def test_tau_image_reads_one_eigensystem(rng, count_calls):
+    """tau(q) is read as the one eigenvector of the image of 1 - q with
+    breakpoint at most mid, from a single eigensolve of that image."""
+    import speclat.family
+    import speclat.linalg
+
+    profile = BlockProfile((3,))
+    u = random_unitary(rng, 3)
+    y = (u * np.array([0.1, 0.8, 0.9])) @ u.conj().T
+    image = DirectSumElement(profile, [(y + y.conj().T) / 2.0])
+    oracle = OrderIsoOracle(profile, profile, "eff", lambda x: image, lambda y: y)
+    solves = count_calls(speclat.linalg.eigh)
+    families = count_calls(speclat.family.family_of)
+    ranges = count_calls(speclat.linalg.range_basis)
+    q = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    v = FactorCanonicalRecovery()._tau_image(oracle, q, 0.5)
+    assert len(solves) == 1 and np.array_equal(solves[0][0], image.blocks[0])
+    assert families == [] and ranges == []
+    assert v.shape == (3,)
+    assert abs(np.vdot(u[:, 0], v)) == pytest.approx(1.0, abs=1e-12)
