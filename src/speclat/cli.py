@@ -35,8 +35,9 @@ from .io import (
     parse_iso,
 )
 from .isos import OrderIsoOracle
+from .order import spec_join
 from .recover import DirectSumIsoDecomposer, is_orthoiso, sample_scalar_action
-from .sampling import random_ds_element, rng_from
+from .sampling import random_ds_element, random_in_cone, rng_from
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import max_abs
 
@@ -260,9 +261,7 @@ def _cmd_decompose(args, tol, report: Report) -> int:
     report.result = {
         "pi": list(dec.permutation_),
         "pi_one_based": _one_based(dec.permutation_),
-        "shift": None
-        if dec.shift_ is None
-        else [float(np.real(np.trace(b))) / b.shape[0] for b in dec.shift_.blocks],
+        "shift": None if dec.shift_ is None else ds_central_scalars(dec.shift_, tol),
         "block_residuals": [float(r) for r in dec.block_residuals_],
         "scalar_actions": actions,
     }
@@ -335,9 +334,6 @@ def _cmd_verify_iso(args, tol, report: Report) -> int:
 
 
 def _join_with_random(block: np.ndarray, rng, cone: str, tol) -> np.ndarray:
-    from .order import spec_join
-    from .sampling import random_in_cone
-
     other = random_in_cone(rng, block.shape[0], cone)
     return spec_join([block, other], cone, tol)
 

@@ -101,12 +101,6 @@ class DirectSumElement:
             float(np.linalg.norm(b, ord=2)) if b.size else 0.0 for b in self.blocks
         )
 
-    def embed(self, j: int, block: np.ndarray) -> "DirectSumElement":
-        """Copy of self with block j replaced."""
-        blocks = list(self.blocks)
-        blocks[j] = block
-        return DirectSumElement(self.profile, blocks)
-
     def map_blocks(self, fn) -> "DirectSumElement":
         return DirectSumElement(self.profile, [fn(b) for b in self.blocks])
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidFamilyError
-from .linalg import eigh
+from .linalg import cluster_ends, eigh
 from .projections import proj_leq
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, max_abs, proj_rank
@@ -116,22 +116,12 @@ def merged_breakpoints(families, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarr
     """Comparison grid for a collection of families, or of anything else
     with ascending breakpoints (an EigenSystem, for example).
 
-    The union of all breakpoints is clustered with gap eps_eig; each cluster
-    is represented by its maximum, the first point at which every member
+    The union of all breakpoints is clustered the way eigh clusters
+    eigenvalues (cluster_ends, width eps_eig); each cluster is represented
+    by its maximum, the first point at which every member
     family has completed the jumps inside that cluster. Between consecutive
     representatives all the step functions are constant, so evaluating at
     the representatives determines every pointwise comparison.
     """
     pts = np.sort(np.concatenate([f.breakpoints for f in families]))
-    reps = []
-    cluster_start = pts[0]
-    cluster_max = pts[0]
-    for p in pts[1:]:
-        if p - cluster_max <= tol.eps_eig and p - cluster_start <= tol.eps_eig:
-            cluster_max = p
-        else:
-            reps.append(cluster_max)
-            cluster_start = p
-            cluster_max = p
-    reps.append(cluster_max)
-    return np.asarray(reps)
+    return pts[cluster_ends(pts, tol.eps_eig) - 1]

@@ -11,7 +11,7 @@ import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement, _check_profiles
 from .errors import DimensionMismatchError, SpeclatError
-from .linalg import EigenSystem, _eigh_hermitian, eigh, orthonormal_range, range_basis
+from .linalg import EigenSystem, _eigh_hermitian, eigh, orthonormal_range, range_basis, spectral_sum
 from .monotone import MonotoneBijection
 from .order import SELF_ADJOINT, _check_cone_name, _check_spectrum, check_scalar_map, endpoint_deviations
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -122,8 +122,7 @@ def _transported_spectrum(tau: ProjectionIsomorphism, es: EigenSystem, f) -> np.
         vals = f(vals)
     basis = es.vectors.conj() if tau.antilinear else es.vectors
     q, _ = np.linalg.qr(tau.T @ basis)
-    out = (q * vals) @ q.conj().T
-    return (out + out.conj().T) / 2.0
+    return spectral_sum(q, vals)
 
 
 def theta_apply(tau: ProjectionIsomorphism, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

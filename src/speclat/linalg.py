@@ -17,23 +17,26 @@ _PHASE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
+    """Spectral decomposition of a Hermitian matrix: an eigenbasis plus
+    cluster offsets.
 
     Attributes
     ----------
     values : ndarray, shape (n,)
         Eigenvalues in ascending order.
     vectors : ndarray, shape (n, n)
-        Orthonormal eigenvector columns, phase-normalized so that the first
-        component above the noise floor is positive real.
-    clusters : tuple of tuple of int
-        Partition of column indices into groups whose eigenvalues differ by
-        at most eps_eig; each group is one spectral breakpoint.
+        Orthonormal eigenvector columns. The first entry of each column with
+        modulus above 1e-12 is positive real, and the columns of one cluster
+        are ordered by the row of that entry.
+    offsets : ndarray of int, shape (m,)
+        Column count up to and including each cluster, from cluster_ends
+        with width eps_eig: vectors[:, :offsets[i]] spans the spectral
+        projection at breakpoints[i], and offsets[-1] = n.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
+    offsets: np.ndarray
 
     @property
     def n(self) -> int:
@@ -44,34 +47,46 @@ class EigenSystem:
         """Mean eigenvalue of each cluster, ascending."""
         # np.mean of a single value is 0.0 + value, bit for bit; skipping the
         # call on singleton clusters keeps the bits and saves most of the cost
+        if len(self.offsets) == self.n:
+            return self.values + 0.0
+        ends = self.offsets.tolist()
         return np.array([
-            0.0 + self.values[group[0]] if len(group) == 1 else float(np.mean(self.values[list(group)]))
-            for group in self.clusters
+            0.0 + self.values[lo] if hi - lo == 1 else float(np.mean(self.values[lo:hi]))
+            for lo, hi in zip([0] + ends[:-1], ends)
         ])
 
     @property
     def column_breakpoints(self) -> np.ndarray:
         """The breakpoint of each column: eigenvalues replaced by the mean
         of their cluster."""
-        return np.repeat(self.breakpoints, [len(group) for group in self.clusters])
+        return np.repeat(self.breakpoints, np.diff(self.offsets, prepend=0))
 
-    @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        """Column count up to and including each cluster: vectors[:, :offsets[i]]
-        spans the spectral projection at breakpoints[i]."""
-        return tuple(group[-1] + 1 for group in self.clusters)
-
-
-def _normalize_phase(column: np.ndarray) -> np.ndarray:
-    for entry in column:
-        if abs(entry) > _PHASE_FLOOR:
-            return column * (entry.conjugate() / abs(entry))
-    return column
+    def columns_at(self, points) -> np.ndarray:
+        """Eigenvector count at or below each point: vectors[:, :k] spans the
+        spectral projection there."""
+        counts = np.concatenate(([0], self.offsets))
+        return counts[np.searchsorted(self.breakpoints, points, side="right")]
 
 
-def _first_support(column: np.ndarray) -> int:
-    idx = np.nonzero(np.abs(column) > _PHASE_FLOOR)[0]
-    return int(idx[0]) if idx.size else len(column)
+def cluster_ends(points: np.ndarray, eps: float) -> np.ndarray:
+    """End index (exclusive) of each cluster of an ascending array. A point
+    joins the current cluster when it lies within eps of the previous point
+    and of the cluster's first point, so a cluster spans at most eps."""
+    pts = points.tolist()
+    ends = []
+    first = pts[0]
+    for i in range(1, len(pts)):
+        if not (pts[i] - pts[i - 1] <= eps and pts[i] - first <= eps):
+            ends.append(i)
+            first = pts[i]
+    ends.append(len(pts))
+    return np.array(ends)
+
+
+def spectral_sum(vectors: np.ndarray, values) -> np.ndarray:
+    """V diag(values) V* as an exactly Hermitian matrix."""
+    m = (vectors * values) @ vectors.conj().T
+    return (m + m.conj().T) / 2.0
 
 
 def eigh(x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> EigenSystem:
@@ -94,28 +109,20 @@ def _eigh_hermitian(h: np.ndarray, tol: ToleranceConfig) -> EigenSystem:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise SpeclatError(f"eigensolver did not converge: {exc}") from None
-
-    starts = [0]
-    for i in range(1, len(values)):
-        if not (values[i] - values[starts[-1]] <= tol.eps_eig and values[i] - values[i - 1] <= tol.eps_eig):
-            starts.append(i)
-    bounds = list(zip(starts, starts[1:] + [len(values)]))
-
-    cols = [_normalize_phase(vectors[:, i]) for i in range(len(values))]
-    order: list[int] = []
-    for lo, hi in bounds:
-        order.extend(sorted(range(lo, hi), key=lambda i: _first_support(cols[i])))
-    return EigenSystem(
-        values=values[order],
-        vectors=np.column_stack([cols[i] for i in order]),
-        clusters=tuple(tuple(range(lo, hi)) for lo, hi in bounds),
-    )
-
-
-def reconstruct(es: EigenSystem) -> np.ndarray:
-    """V diag(values) V* as an exactly Hermitian matrix."""
-    m = (es.vectors * es.values) @ es.vectors.conj().T
-    return (m + m.conj().T) / 2.0
+    ends = cluster_ends(values, tol.eps_eig)
+    # hypot rounds like abs() of a complex scalar; np.abs differs in the last bit
+    mag = np.hypot(vectors.real, vectors.imag)
+    # a unit column has an entry of modulus at least n^-1/2, so every column
+    # has a supported entry
+    lead = np.argmax(mag > _PHASE_FLOOR, axis=0)
+    cols = np.arange(len(values))
+    vectors = vectors * (vectors[lead, cols].conj() / mag[lead, cols])
+    if len(ends) == len(values):
+        # no ties, so nothing to reorder
+        return EigenSystem(values, vectors, ends)
+    first = np.argmax(np.abs(vectors) > _PHASE_FLOOR, axis=0)
+    order = np.lexsort((first, np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))))
+    return EigenSystem(values[order], vectors[:, order], ends)
 
 
 def orthonormal_range(cols, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

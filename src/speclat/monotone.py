@@ -122,10 +122,6 @@ class MonotoneBijection:
             )
         raise NotMonotoneError("can only compose bijections of matching kind")
 
-    def fixes(self, t: float, atol: float = 1e-9) -> bool:
-        """True if f(t) == t within atol (endpoint check for cone domains)."""
-        return abs(self(t) - t) <= atol
-
     def __repr__(self) -> str:
         if self.kind == "power":
             return f"MonotoneBijection.power({self.exponent:g})"

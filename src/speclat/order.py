@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConeError, DimensionMismatchError, InvalidFamilyError
 from .family import merged_breakpoints
-from .linalg import EigenSystem, _eigh_hermitian, eigh
+from .linalg import EigenSystem, _eigh_hermitian, eigh, spectral_sum
 from .monotone import MonotoneBijection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, check_same_dim, max_abs
@@ -99,12 +99,6 @@ def check_scalar_map(deviations, cone: str, tol: ToleranceConfig = DEFAULT_TOL) 
             )
 
 
-def _columns_at(es, reps) -> np.ndarray:
-    """Eigenvector count of es at or below each merged breakpoint."""
-    counts = np.array((0,) + es.offsets)
-    return counts[np.searchsorted(es.breakpoints, reps, side="right")]
-
-
 def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Spectral order test x <= y, i.e. E^y_l <= E^x_l for all l.
 
@@ -128,7 +122,7 @@ def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     padded[:n, 1:] = np.abs(ex.vectors.conj().T @ ey.vectors)
     worst = np.maximum.accumulate(np.maximum.accumulate(padded[::-1], axis=0)[::-1], axis=1)
     reps = merged_breakpoints([ex, ey], tol)
-    return bool(np.all(worst[_columns_at(ex, reps), _columns_at(ey, reps)] <= tol.eps_proj))
+    return bool(np.all(worst[ex.columns_at(reps), ey.columns_at(reps)] <= tol.eps_proj))
 
 
 def _validated(xs, cone: str, tol: ToleranceConfig, negate: bool = False) -> list[EigenSystem]:
@@ -158,7 +152,7 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
     n = first.n
     cross = [first.vectors.conj().T @ es.vectors for es in systems[1:]]
     reps = merged_breakpoints(systems, tol)
-    counts = [_columns_at(es, reps) for es in systems]
+    counts = [es.columns_at(reps) for es in systems]
     # columns of q: orthonormal directions of the join in first.vectors
     # coordinates, in the order they appear
     q = np.zeros((n, n), dtype=np.complex128)
@@ -180,9 +174,7 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
         q[:a, found : found + fresh] = u[:, :fresh]
         values[found : found + fresh] = lam
         found += fresh
-    basis = first.vectors @ q
-    x = (basis * values) @ basis.conj().T
-    return (x + x.conj().T) / 2.0
+    return spectral_sum(first.vectors @ q, values)
 
 
 def spec_join(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -212,10 +204,8 @@ def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np
     semidefinite and with orthogonal supports.
     """
     es = eigh(x, tol)
-    v = es.vectors
-    plus = (v * np.maximum(es.values, 0.0)) @ v.conj().T
-    minus = (v * np.maximum(-es.values, 0.0)) @ v.conj().T
-    return (plus + plus.conj().T) / 2.0, (minus + minus.conj().T) / 2.0
+    v, w = es.vectors, es.values
+    return spectral_sum(v, np.maximum(w, 0.0)), spectral_sum(v, np.maximum(-w, 0.0))
 
 
 def apply_monotone(
@@ -233,8 +223,7 @@ def apply_monotone(
     mapped = f(es.column_breakpoints)
     if not np.all(np.isfinite(mapped)):
         raise InvalidFamilyError("breakpoints must be finite")
-    out = (es.vectors * mapped) @ es.vectors.conj().T
-    return (out + out.conj().T) / 2.0
+    return spectral_sum(es.vectors, mapped)
 
 
 def atom_scalar_decompose(

@@ -27,7 +27,7 @@ from .directsum import (
 )
 from .errors import DecompositionError, DimensionMismatchError, NotMonotoneError
 from .isos import FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
-from .linalg import eigh
+from .linalg import eigh, spectral_sum
 from .monotone import MonotoneBijection
 from .order import EFFECT, SELF_ADJOINT
 from .sampling import random_ds_element, random_effect, random_unitary, rng_from
@@ -127,8 +127,7 @@ class FactorCanonicalRecovery(BaseRecovery):
         1 - q, which must be the only one with breakpoint at most mid."""
         comp = np.eye(q.shape[0]) - q
         es = eigh(oracle.forward(embed_block(oracle.domain_profile, 0, comp)).blocks[0], self.tol)
-        below = np.searchsorted(es.breakpoints, mid, side="right")
-        rank = ((0,) + es.offsets)[below]
+        rank = es.columns_at(mid)
         if rank != 1:
             raise DecompositionError(f"expected a rank-one projection image, got rank {rank}")
         return es.vectors[:, 0]
@@ -403,9 +402,8 @@ def _block_orthogonal_pair(rng, dim: int):
     u = random_unitary(rng, dim)
     split = int(rng.integers(1, dim))
     left, right = u[:, :split], u[:, split:]
-    a = (left * rng.uniform(0.1, 1.0, split)) @ left.conj().T
-    b = (right * rng.uniform(0.1, 1.0, dim - split)) @ right.conj().T
-    return (a + a.conj().T) / 2.0, (b + b.conj().T) / 2.0
+    a = spectral_sum(left, rng.uniform(0.1, 1.0, split))
+    return a, spectral_sum(right, rng.uniform(0.1, 1.0, dim - split))
 
 
 def _product_norm(x: DirectSumElement, y: DirectSumElement) -> float:

@@ -8,6 +8,7 @@ import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement
 from .isos import DirectSumIso, FactorCanonicalIso, JordanIso, ProjectionIsomorphism
+from .linalg import spectral_sum
 from .monotone import MonotoneBijection
 from .order import EFFECT, POSITIVE, SELF_ADJOINT
 
@@ -34,9 +35,7 @@ def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np
 
 def random_with_spectrum(rng: np.random.Generator, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    u = random_unitary(rng, len(values))
-    m = (u * values) @ u.conj().T
-    return (m + m.conj().T) / 2.0
+    return spectral_sum(random_unitary(rng, len(values)), values)
 
 
 def random_projection(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
@@ -194,8 +193,4 @@ def random_commuting_family(
         spectra = [np.sort(rng.uniform(0.0, 2.0, n)) for _ in range(count)]
     else:
         spectra = [np.sort(rng.uniform(-2.0, 2.0, n)) for _ in range(count)]
-    mats = []
-    for w in spectra:
-        m = (u * w) @ u.conj().T
-        mats.append((m + m.conj().T) / 2.0)
-    return u, spectra, mats
+    return u, spectra, [spectral_sum(u, w) for w in spectra]

@@ -23,6 +23,7 @@ from .directsum import (
 )
 from .errors import DecompositionError
 from .family import element_of, family_of
+from .io import matrix_to_json
 from .isos import DirectSumIso, FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
 from .linalg import is_psd
 from .monotone import MonotoneBijection
@@ -348,8 +349,6 @@ def check_center_distributive(
                 found = True
                 worst_tries = max(worst_tries, attempt)
                 if witness is None:
-                    from .io import matrix_to_json
-
                     witness = {
                         "z": matrix_to_json(np.round(z, 6)),
                         "x": matrix_to_json(np.round(x, 6)),

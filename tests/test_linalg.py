@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from speclat.errors import DimensionMismatchError, NonHermitianError
-from speclat.linalg import eigh, is_psd, orthonormal_range, range_basis, reconstruct
-from speclat.sampling import random_hermitian, random_projection
+from speclat.family import merged_breakpoints
+from speclat.linalg import eigh, is_psd, orthonormal_range, range_basis, spectral_sum
+from speclat.sampling import random_hermitian, random_projection, random_unitary, random_with_spectrum
 from speclat.tolerances import ToleranceConfig
 from speclat.validation import max_abs
 
@@ -29,7 +30,7 @@ def test_eigh_reconstruction_random(rng):
     for _ in range(50):
         x = random_hermitian(rng, 4)
         es = eigh(x)
-        assert max_abs(reconstruct(es) - x) <= 1e-10
+        assert max_abs(spectral_sum(es.vectors, es.values) - x) <= 1e-10
 
 
 def test_eigh_orthonormal_and_deterministic(rng):
@@ -42,7 +43,7 @@ def test_eigh_orthonormal_and_deterministic(rng):
 
 def test_eigh_clusters_group_repeated_eigenvalues():
     es = eigh(np.diag([1.0, 1.0, 2.0]).astype(complex))
-    assert es.clusters == ((0, 1), (2,))
+    assert es.offsets.tolist() == [2, 3]
 
 
 def test_eigh_rejects_non_hermitian():
@@ -54,7 +55,8 @@ def test_eigh_involutive_many(rng):
     for _ in range(1000):
         n = int(rng.integers(1, 9))
         x = random_hermitian(rng, n)
-        assert max_abs(reconstruct(eigh(x)) - x) <= 1e-8
+        es = eigh(x)
+        assert max_abs(spectral_sum(es.vectors, es.values) - x) <= 1e-8
 
 
 def test_orthonormal_range_single_vector():
@@ -117,3 +119,82 @@ def test_tolerance_validation():
         ToleranceConfig(eps_eig=-1.0)
     with pytest.raises(ValueError):
         ToleranceConfig(eps_eig=1e-12, eps_proj=1e-9)
+
+
+def _reference_eigh(x, eps_eig=1e-8):
+    """Per-column reference for eigh: (values, vectors, offsets,
+    breakpoints), with the phase and the tie order set one column at a
+    time."""
+    x = np.asarray(x, dtype=np.complex128)
+    values, vectors = np.linalg.eigh((x + x.conj().T) / 2.0)
+    starts = [0]
+    for i in range(1, len(values)):
+        if not (values[i] - values[starts[-1]] <= eps_eig and values[i] - values[i - 1] <= eps_eig):
+            starts.append(i)
+    bounds = list(zip(starts, starts[1:] + [len(values)]))
+
+    def normalize(column):
+        for entry in column:
+            if abs(entry) > 1e-12:
+                return column * (entry.conjugate() / abs(entry))
+        return column
+
+    def first_support(column):
+        return int(np.nonzero(np.abs(column) > 1e-12)[0][0])
+
+    cols = [normalize(vectors[:, i]) for i in range(len(values))]
+    order = []
+    for lo, hi in bounds:
+        order.extend(sorted(range(lo, hi), key=lambda i: first_support(cols[i])))
+    values = values[order]
+    breakpoints = np.array([
+        0.0 + values[lo] if hi - lo == 1 else float(np.mean(values[lo:hi])) for lo, hi in bounds
+    ])
+    return values, np.column_stack([cols[i] for i in order]), [hi for _, hi in bounds], breakpoints
+
+
+def _spectra(rng, n):
+    """Generic, exactly tied, near-tied (inside eps_eig) and chained (steps
+    inside eps_eig, total span beyond it) spectra of length n."""
+    yield rng.standard_normal(n)
+    yield np.sort(rng.integers(0, 3, n).astype(float))
+    yield np.sort(rng.integers(0, 3, n) + rng.uniform(-3e-9, 3e-9, n))
+    yield np.sort(rng.integers(0, 2, n) + np.arange(n) * rng.uniform(2e-9, 9e-9))
+
+
+def test_eigh_matches_per_column_reference(rng):
+    """values, vectors, offsets and breakpoints agree bit for bit with the
+    per-column reference, in a random basis and in permuted coordinates
+    (exact zeros, so ties are ordered by first supported row)."""
+    for n in [*range(1, 9)] * 12 + [16, 24, 32, 48, 64]:
+        for w in _spectra(rng, n):
+            for u in (random_unitary(rng, n), np.eye(n)[rng.permutation(n)]):
+                x = (u * w) @ u.conj().T
+                values, vectors, offsets, breakpoints = _reference_eigh(x)
+                es = eigh(x)
+                assert es.values.tobytes() == values.tobytes()
+                assert es.vectors.tobytes() == vectors.tobytes()
+                assert es.offsets.tolist() == offsets
+                assert es.breakpoints.tobytes() == breakpoints.tobytes()
+
+
+def test_merged_breakpoints_matches_reference_loop(rng):
+    """merged_breakpoints against a reference loop, on point sets with
+    exact repeats, near repeats and chains wider than eps_eig."""
+
+    class Steps:
+        def __init__(self, breakpoints):
+            self.breakpoints = breakpoints
+
+    for _ in range(300):
+        sets = [np.sort(w) for w in _spectra(rng, int(rng.integers(1, 12)))]
+        pts = np.sort(np.concatenate(sets))
+        reps, start, top = [], pts[0], pts[0]
+        for p in pts[1:]:
+            if p - top <= 1e-8 and p - start <= 1e-8:
+                top = p
+            else:
+                reps.append(top)
+                start = top = p
+        reps.append(top)
+        assert merged_breakpoints([Steps(s) for s in sets]).tobytes() == np.array(reps).tobytes()

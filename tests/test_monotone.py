@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from speclat.errors import NotMonotoneError
+from speclat.errors import ConeError, NotMonotoneError
 from speclat.monotone import MonotoneBijection
+from speclat.order import check_scalar_map, endpoint_deviations
 from speclat.sampling import random_monotone_bijection
 
 
@@ -69,6 +70,8 @@ def test_strictness_validation():
 
 def test_fixes_endpoints():
     f = MonotoneBijection.piecewise_linear([0.0, 0.4, 1.0], [0.0, 0.7, 1.0])
-    assert f.fixes(0.0) and f.fixes(1.0)
+    assert endpoint_deviations(f, "eff") == ((0.0, 0.0), (1.0, 0.0))
+    check_scalar_map(endpoint_deviations(f, "eff"), "eff")
     g = MonotoneBijection.piecewise_linear([0.0, 1.0], [0.1, 1.0])
-    assert not g.fixes(0.0)
+    with pytest.raises(ConeError, match="does not fix 0"):
+        check_scalar_map(endpoint_deviations(g, "eff"), "eff")
