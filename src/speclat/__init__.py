@@ -52,14 +52,7 @@ from .order import (
     spec_meet,
 )
 from .projections import is_atomic, proj_complement, proj_join, proj_leq, proj_meet
-from .recover import (
-    DirectSumIsoDecomposer,
-    FactorCanonicalRecovery,
-    decompose_effect_iso,
-    decompose_sa_iso,
-    is_orthoiso,
-    recover_factor_canonical,
-)
+from .recover import DirectSumIsoDecomposer, FactorCanonicalRecovery, is_orthoiso
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 
 __version__ = "0.1.0"

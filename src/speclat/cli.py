@@ -248,16 +248,14 @@ def _cmd_decompose(args, tol, report: Report) -> int:
     oracle = OrderIsoOracle.from_iso(iso, tol)
     try:
         dec = DirectSumIsoDecomposer(n_verify=args.samples, random_state=report.seed, tol=tol).fit(oracle)
+        grid = _scalar_grid(iso.cone, args.grid)
+        actions = [
+            {"block": j, "grid": grid.tolist(), "values": sample_scalar_action(b, grid, tol).tolist()}
+            for j, b in enumerate(dec.block_oracles_)
+        ]
     except DecompositionError as exc:
         report.add_verdict("blockwise decomposition", False, detail=str(exc))
         return 1
-    grid = _scalar_grid(iso.cone, args.grid)
-    actions = []
-    for j, block_oracle in enumerate(dec.block_oracles_):
-        values = sample_scalar_action(block_oracle, grid)
-        actions.append(
-            {"block": j, "grid": [float(g) for g in grid], "values": [float(v) for v in values]}
-        )
     report.result = {
         "pi": list(dec.permutation_),
         "pi_one_based": _one_based(dec.permutation_),

@@ -170,26 +170,26 @@ def ds_spec_leq(x: DirectSumElement, y: DirectSumElement, tol: ToleranceConfig =
     return all(spec_leq(a, b, tol) for a, b in zip(x.blocks, y.blocks))
 
 
-def ds_spec_join(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumElement:
-    """Blockwise supremum of a nonempty list of direct-sum elements."""
+def _blockwise(op, xs, cone: str, tol: ToleranceConfig) -> DirectSumElement:
+    """op (spec_join or spec_meet) applied slot by slot to a nonempty list
+    of direct-sum elements."""
+    if not xs:
+        raise DimensionMismatchError("supremum/infimum of an empty list")
     profile = xs[0].profile
     for x in xs:
         _check_profiles(profile, x.profile)
-    blocks = [
-        spec_join([x.blocks[j] for x in xs], cone, tol) for j in range(len(profile))
-    ]
+    blocks = [op([x.blocks[j] for x in xs], cone, tol) for j in range(len(profile))]
     return DirectSumElement(profile, blocks, validate=False)
+
+
+def ds_spec_join(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumElement:
+    """Blockwise supremum of a nonempty list of direct-sum elements."""
+    return _blockwise(spec_join, xs, cone, tol)
 
 
 def ds_spec_meet(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumElement:
     """Blockwise infimum of a nonempty list of direct-sum elements."""
-    profile = xs[0].profile
-    for x in xs:
-        _check_profiles(profile, x.profile)
-    blocks = [
-        spec_meet([x.blocks[j] for x in xs], cone, tol) for j in range(len(profile))
-    ]
-    return DirectSumElement(profile, blocks, validate=False)
+    return _blockwise(spec_meet, xs, cone, tol)
 
 
 def ds_pos_neg_parts(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidFamilyError
-from .linalg import cluster_ends, eigh
+from .linalg import cluster_ends, eigh, spectral_sum
 from .projections import proj_leq
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, max_abs, proj_rank
@@ -92,9 +92,7 @@ def family_of(x, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
     es = eigh(x, tol)
     cumulative = []
     for count in es.offsets[:-1]:
-        basis = es.vectors[:, :count]
-        p = basis @ basis.conj().T
-        cumulative.append((p + p.conj().T) / 2.0)
+        cumulative.append(spectral_sum(es.vectors[:, :count], 1.0))
     cumulative.append(np.eye(es.n, dtype=np.complex128))
     # ascending prefix projections of an orthonormal eigenbasis satisfy the
     # axioms by construction

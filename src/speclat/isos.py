@@ -268,9 +268,6 @@ class OrderIsoOracle:
     forward: object
     inverse: object
 
-    def __call__(self, x: DirectSumElement) -> DirectSumElement:
-        return self.forward(x)
-
     @classmethod
     def from_iso(cls, iso: DirectSumIso, tol: ToleranceConfig = DEFAULT_TOL) -> "OrderIsoOracle":
         inv = iso.inverse()

@@ -152,9 +152,7 @@ def orthonormal_range(cols, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         return np.zeros((n, n), dtype=np.complex128)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     rank = int(np.sum(s > tol.eps_proj))
-    basis = u[:, :rank]
-    p = basis @ basis.conj().T
-    return (p + p.conj().T) / 2.0
+    return spectral_sum(u[:, :rank], 1.0)
 
 
 def range_basis(p, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import orthonormal_range
+from .linalg import orthonormal_range, spectral_sum
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_same_dim, max_abs, proj_rank
 
@@ -36,11 +36,7 @@ def proj_meet(ps, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     eye = np.eye(n, dtype=np.complex128)
     gram = sum(eye - p for p in ps)
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    basis = v[:, w <= tol.eps_proj]
-    if basis.shape[1] == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    m = basis @ basis.conj().T
-    return (m + m.conj().T) / 2.0
+    return spectral_sum(v[:, w <= tol.eps_proj], 1.0)
 
 
 def proj_join(ps, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -65,6 +65,56 @@ def _single_factor_dim(oracle: OrderIsoOracle) -> int:
     return dom.dims[0]
 
 
+def _factor_image(oracle: OrderIsoOracle, m: np.ndarray) -> np.ndarray:
+    """The image of m under a single-factor oracle, as a matrix."""
+    return oracle.forward(embed_block(oracle.domain_profile, 0, m)).blocks[0]
+
+
+def sample_scalar_action(oracle: OrderIsoOracle, grid, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Scalars f(l) of the images of l * identity along the grid.
+
+    The oracle must act on a single factor (DimensionMismatchError
+    otherwise). An order isomorphism preserves the center, so each image
+    must be within 10 * eps_recon of f(l) * identity, entry by entry, where
+    f(l) is the image's mean diagonal entry; an image off the center raises
+    DecompositionError.
+    """
+    n = _single_factor_dim(oracle)
+    values = []
+    for lam in grid:
+        c = scalar_block(_factor_image(oracle, lam * np.eye(n)), 10 * tol.eps_recon)
+        if c is None:
+            raise DecompositionError(
+                f"image of {lam:g} * identity is not scalar: the map does not "
+                "preserve the center, so it is not a spectral order isomorphism"
+            )
+        values.append(c)
+    return np.asarray(values)
+
+
+def reassembly_residuals(
+    oracle: OrderIsoOracle, rng, samples: int, permutation, block_oracles, shift
+) -> list[float]:
+    """Worst entrywise residual, per codomain slot, between the oracle's
+    images of random elements and the images rebuilt from a decomposition.
+
+    Draws `samples` elements with random_ds_element(rng, domain profile,
+    cone). Codomain slot k of a rebuilt image holds the image of block
+    j = permutation[k] under block_oracles[j], plus block k of the central
+    shift (None off the self-adjoint cone).
+    """
+    residuals = [0.0] * len(oracle.codomain_profile)
+    for _ in range(samples):
+        x = random_ds_element(rng, oracle.domain_profile, oracle.cone)
+        expected = oracle.forward(x)
+        for k, j in enumerate(permutation):
+            block = _factor_image(block_oracles[j], x.blocks[j])
+            if shift is not None:
+                block = block + shift.blocks[k]
+            residuals[k] = max(residuals[k], max_abs(block - expected.blocks[k]))
+    return residuals
+
+
 def _unit_projection(v: np.ndarray) -> np.ndarray:
     v = v / np.linalg.norm(v)
     p = np.outer(v, v.conj())
@@ -112,21 +162,11 @@ class FactorCanonicalRecovery(BaseRecovery):
         self.random_state = random_state
         self.tol = tol
 
-    def _scalar_image(self, oracle: OrderIsoOracle, lam: float, n: int) -> float:
-        y = oracle.forward(embed_block(oracle.domain_profile, 0, lam * np.eye(n))).blocks[0]
-        c = scalar_block(y, 10 * self.tol.eps_recon)
-        if c is None:
-            raise DecompositionError(
-                f"image of {lam:g} * identity is not scalar: the map does not "
-                "preserve the center, so it is not a spectral order isomorphism"
-            )
-        return c
-
     def _tau_image(self, oracle: OrderIsoOracle, q: np.ndarray, mid: float) -> np.ndarray:
         """Unit vector spanning tau(q): the first eigenvector of the image of
         1 - q, which must be the only one with breakpoint at most mid."""
         comp = np.eye(q.shape[0]) - q
-        es = eigh(oracle.forward(embed_block(oracle.domain_profile, 0, comp)).blocks[0], self.tol)
+        es = eigh(_factor_image(oracle, comp), self.tol)
         rank = es.columns_at(mid)
         if rank != 1:
             raise DecompositionError(f"expected a rank-one projection image, got rank {rank}")
@@ -139,7 +179,7 @@ class FactorCanonicalRecovery(BaseRecovery):
         tol = self.tol
 
         grid = np.linspace(0.0, 1.0, self.grid_points)
-        scalars = np.array([self._scalar_image(oracle, lam, n) for lam in grid])
+        scalars = sample_scalar_action(oracle, grid, tol)
         if abs(scalars[0]) > 10 * tol.eps_recon or abs(scalars[-1] - 1.0) > 10 * tol.eps_recon:
             raise DecompositionError(
                 "scalar action does not fix the endpoints of [0, 1]"
@@ -183,8 +223,7 @@ class FactorCanonicalRecovery(BaseRecovery):
         worst = 0.0
         for _ in range(self.n_verify):
             x = random_effect(rng, n)
-            expected = oracle.forward(embed_block(oracle.domain_profile, 0, x)).blocks[0]
-            worst = max(worst, max_abs(canonical.apply(x, tol) - expected))
+            worst = max(worst, max_abs(canonical.apply(x, tol) - _factor_image(oracle, x)))
         if worst > threshold:
             raise DecompositionError(
                 f"verification residual {worst:.3e} exceeds {threshold:.1e}: the scalar "
@@ -197,12 +236,6 @@ class FactorCanonicalRecovery(BaseRecovery):
         self.canonical_ = canonical
         self.max_residual_ = worst
         return self
-
-
-def recover_factor_canonical(oracle: OrderIsoOracle, **params) -> FactorCanonicalIso:
-    """Functional entry point for FactorCanonicalRecovery; returns the
-    recovered canonical isomorphism."""
-    return FactorCanonicalRecovery(**params).fit(oracle).canonical_
 
 
 class DirectSumIsoDecomposer(BaseRecovery):
@@ -316,14 +349,9 @@ class DirectSumIsoDecomposer(BaseRecovery):
 
         oracles = [block_oracle(j) for j in range(len(dom))]
 
-        rng = rng_from(self.random_state)
-        per_block = [0.0] * len(cod)
-        for _ in range(self.n_verify):
-            x = random_ds_element(rng, dom, oracle.cone)
-            expected = oracle.forward(x)
-            rebuilt = reassemble(x, cod, pi, oracles, shift)
-            for k, (a, b) in enumerate(zip(rebuilt.blocks, expected.blocks)):
-                per_block[k] = max(per_block[k], max_abs(a - b))
+        per_block = reassembly_residuals(
+            oracle, rng_from(self.random_state), self.n_verify, pi, oracles, shift
+        )
         worst = max(per_block)
         if worst > tol.eps_recon:
             raise DecompositionError(
@@ -338,50 +366,6 @@ class DirectSumIsoDecomposer(BaseRecovery):
         self.block_residuals_ = tuple(per_block)
         self.flags_ = ("type-I2",) if 2 in dom.dims else ()
         return self
-
-
-def reassemble(x: DirectSumElement, codomain: BlockProfile, permutation, block_oracles, shift):
-    """The image of x rebuilt from a decomposition: codomain slot k holds the
-    image of x's block j = permutation[k] under block_oracles[j], and the
-    central shift (None off the self-adjoint cone) is added back."""
-    blocks = [
-        block_oracles[j].forward(
-            DirectSumElement(block_oracles[j].domain_profile, [x.blocks[j]], validate=False)
-        ).blocks[0]
-        for j in permutation
-    ]
-    rebuilt = DirectSumElement(codomain, blocks, validate=False)
-    return rebuilt + shift if shift is not None else rebuilt
-
-
-def decompose_effect_iso(oracle: OrderIsoOracle, **params):
-    """Permutation and per-factor oracles of an effect-lattice isomorphism."""
-    if oracle.cone != EFFECT:
-        raise DecompositionError("decompose_effect_iso expects an effect-cone oracle")
-    dec = DirectSumIsoDecomposer(**params).fit(oracle)
-    return dec.permutation_, dec.block_oracles_
-
-
-def decompose_sa_iso(oracle: OrderIsoOracle, **params):
-    """Central shift, permutation and per-factor oracles of a spectral-lattice
-    isomorphism (the shift is the image of 0, subtracted before splitting)."""
-    if oracle.cone != SELF_ADJOINT:
-        raise DecompositionError("decompose_sa_iso expects a self-adjoint-cone oracle")
-    dec = DirectSumIsoDecomposer(**params).fit(oracle)
-    return dec.shift_, dec.permutation_, dec.block_oracles_
-
-
-def sample_scalar_action(oracle: OrderIsoOracle, grid) -> np.ndarray:
-    """Scalars of the images of l * identity along the grid; the oracle must
-    already be reduced to a single factor."""
-    n = oracle.domain_profile.dims[0]
-    values = []
-    for lam in grid:
-        y = oracle.forward(
-            DirectSumElement(oracle.domain_profile, [lam * np.eye(n)])
-        ).blocks[0]
-        values.append(float(np.real(np.trace(y))) / n)
-    return np.asarray(values)
 
 
 @dataclass(frozen=True)

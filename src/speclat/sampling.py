@@ -43,10 +43,7 @@ def random_projection(rng: np.random.Generator, n: int, rank: int | None = None)
     given (0 < r < n needs n >= 2)."""
     if rank is None:
         rank = int(rng.integers(1, n)) if n > 1 else 1
-    u = random_unitary(rng, n)
-    basis = u[:, :rank]
-    p = basis @ basis.conj().T
-    return (p + p.conj().T) / 2.0
+    return spectral_sum(random_unitary(rng, n)[:, :rank], 1.0)
 
 
 def random_effect(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from .linalg import is_psd
 from .monotone import MonotoneBijection
 from .order import distributive_check, pos_neg_parts, spec_join, spec_leq, spec_meet
 from .projections import proj_join, proj_leq
-from .recover import DirectSumIsoDecomposer, is_orthoiso, reassemble, sample_scalar_action
+from .recover import DirectSumIsoDecomposer, is_orthoiso, reassembly_residuals, sample_scalar_action
 from .sampling import (
     random_commuting_family,
     random_direct_sum_iso,
@@ -420,16 +420,10 @@ def check_structure_recovery(
                 worst_shift,
                 max(max_abs(a - b) for a, b in zip(dec.shift_.blocks, shift.blocks)),
             )
-        for _ in range(fresh):
-            x = random_ds_element(rng, profile, cone)
-            expected = oracle.forward(x)
-            rebuilt = reassemble(
-                x, iso.codomain_profile, dec.permutation_, dec.block_oracles_, dec.shift_
-            )
-            worst_fresh = max(
-                worst_fresh,
-                max(max_abs(a - b) for a, b in zip(rebuilt.blocks, expected.blocks)),
-            )
+        residuals = reassembly_residuals(
+            oracle, rng, fresh, dec.permutation_, dec.block_oracles_, dec.shift_
+        )
+        worst_fresh = max(worst_fresh, *residuals)
     passed = worst_shift <= shift_tol and worst_fresh <= fresh_tol
     return CheckResult(
         "blockwise structure recovery",
@@ -508,11 +502,11 @@ def check_motivating_example(
     oracle = OrderIsoOracle.from_iso(motivating_iso(), tol)
     try:
         dec = DirectSumIsoDecomposer(n_verify=20, random_state=0, tol=tol).fit(oracle)
+        grid = np.linspace(-1.0, 1.0, 33)
+        f0 = sample_scalar_action(dec.block_oracles_[0], grid, tol)
+        f1 = sample_scalar_action(dec.block_oracles_[1], grid, tol)
     except DecompositionError as exc:
         return CheckResult("component-cubing automorphism", False, str(exc))
-    grid = np.linspace(-1.0, 1.0, 33)
-    f0 = sample_scalar_action(dec.block_oracles_[0], grid)
-    f1 = sample_scalar_action(dec.block_oracles_[1], grid)
     err_id = float(np.max(np.abs(f0 - grid)))
     err_cube = float(np.max(np.abs(f1 - grid**3)))
     passed = dec.permutation_ == (0, 1) and err_id <= grid_tol and err_cube <= grid_tol

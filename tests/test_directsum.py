@@ -183,3 +183,9 @@ def test_ds_atom_decompose_cone_errors_name_the_block():
     x = DirectSumElement(profile, [np.diag([0.5, 0.0]), np.diag([1.5, 0.0])])
     with pytest.raises(ConeError, match=r"blocks\[1\] has eigenvalue 1.5 > 1"):
         ds_atom_scalar_decompose(x, "eff")
+
+
+@pytest.mark.parametrize("op", [ds_spec_join, ds_spec_meet])
+def test_empty_element_list_is_refused(op):
+    with pytest.raises(DimensionMismatchError, match="empty list"):
+        op([], "eff")

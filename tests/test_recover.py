@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speclat.directsum import BlockProfile, DirectSumElement, embed_block
-from speclat.errors import DecompositionError
+from speclat.errors import DecompositionError, DimensionMismatchError
 from speclat.isos import (
     DirectSumIso,
     FactorCanonicalIso,
@@ -15,10 +15,9 @@ from speclat.order import pos_neg_parts
 from speclat.recover import (
     DirectSumIsoDecomposer,
     FactorCanonicalRecovery,
-    decompose_effect_iso,
-    decompose_sa_iso,
     is_orthoiso,
-    recover_factor_canonical,
+    reassembly_residuals,
+    sample_scalar_action,
 )
 from speclat.sampling import (
     random_direct_sum_iso,
@@ -107,16 +106,6 @@ def test_recover_rejects_non_isomorphism():
         FactorCanonicalRecovery(random_state=0).fit(oracle)
 
 
-def test_recover_functional_wrapper(rng):
-    f = random_monotone_bijection(rng, "eff", grid=128)
-    tau = ProjectionIsomorphism(random_unitary(rng, 2))
-    oracle = single_factor_oracle(FactorCanonicalIso(f, tau, "eff"))
-    canonical = recover_factor_canonical(oracle, random_state=5)
-    x = random_effect(rng, 2)
-    expected = oracle.forward(embed_block(oracle.domain_profile, 0, x)).blocks[0]
-    assert max_abs(canonical.apply(x) - expected) <= 1e-8
-
-
 def test_get_set_params():
     rec = FactorCanonicalRecovery(grid_points=65)
     params = rec.get_params()
@@ -130,7 +119,8 @@ def test_get_set_params():
 def test_decompose_identity_oracle(rng):
     profile = BlockProfile((2, 3))
     oracle = OrderIsoOracle.from_iso(DirectSumIso.identity(profile, "eff"))
-    pi, blocks = decompose_effect_iso(oracle, random_state=0)
+    dec = DirectSumIsoDecomposer(random_state=0).fit(oracle)
+    pi, blocks = dec.permutation_, dec.block_oracles_
     assert pi == (0, 1)
     x = random_effect(rng, 2)
     single = DirectSumElement(BlockProfile((2,)), [x])
@@ -142,8 +132,7 @@ def test_decompose_recovers_swap(rng):
     for _ in range(5):
         iso = random_direct_sum_iso(rng, profile, "eff")
         oracle = OrderIsoOracle.from_iso(iso)
-        pi, _blocks = decompose_effect_iso(oracle, random_state=1)
-        assert pi == iso.pi
+        assert DirectSumIsoDecomposer(random_state=1).fit(oracle).permutation_ == iso.pi
 
 
 def test_decompose_dimension_forcing(rng):
@@ -151,8 +140,8 @@ def test_decompose_dimension_forcing(rng):
     dimensions, whatever the map does inside the blocks."""
     profile = BlockProfile((2, 3))
     iso = random_direct_sum_iso(rng, profile, "eff")
-    pi, _ = decompose_effect_iso(OrderIsoOracle.from_iso(iso), random_state=2)
-    assert pi == (0, 1)
+    dec = DirectSumIsoDecomposer(random_state=2).fit(OrderIsoOracle.from_iso(iso))
+    assert dec.permutation_ == (0, 1)
 
 
 def test_decompose_positive_cone(rng):
@@ -174,9 +163,9 @@ def test_decompose_sa_with_shift(rng):
         forward=lambda x: base.forward(x) + shift,
         inverse=lambda y: base.inverse(y - shift),
     )
-    got_shift, pi, _blocks = decompose_sa_iso(oracle, random_state=4)
-    assert pi == iso.pi
-    assert max(max_abs(a - b) for a, b in zip(got_shift.blocks, shift.blocks)) <= 1e-8
+    dec = DirectSumIsoDecomposer(random_state=4).fit(oracle)
+    assert dec.permutation_ == iso.pi
+    assert max(max_abs(a - b) for a, b in zip(dec.shift_.blocks, shift.blocks)) <= 1e-8
 
 
 def test_decompose_rejects_noncentral_zero_image():
@@ -188,7 +177,7 @@ def test_decompose_rejects_noncentral_zero_image():
 
     oracle = OrderIsoOracle(profile, profile, "sa", fwd, lambda y: y - bump)
     with pytest.raises(DecompositionError):
-        decompose_sa_iso(oracle, random_state=0)
+        DirectSumIsoDecomposer(random_state=0).fit(oracle)
 
 
 def test_decompose_rejects_mismatched_sign_permutations():
@@ -203,7 +192,7 @@ def test_decompose_rejects_mismatched_sign_permutations():
 
     oracle = OrderIsoOracle(profile, profile, "sa", fwd, lambda y: y)
     with pytest.raises(DecompositionError, match="different codomain slots"):
-        decompose_sa_iso(oracle, random_state=0)
+        DirectSumIsoDecomposer(random_state=0).fit(oracle)
 
 
 def test_decompose_rejects_non_blockwise_map():
@@ -220,7 +209,7 @@ def test_decompose_rejects_non_blockwise_map():
 
     oracle = OrderIsoOracle(profile, profile, "eff", mixing_fwd, lambda y: y)
     with pytest.raises(DecompositionError):
-        decompose_effect_iso(oracle, random_state=0)
+        DirectSumIsoDecomposer(random_state=0).fit(oracle)
 
 
 def test_effect_iso_preserves_scalar_atom_multiples(rng):
@@ -305,3 +294,44 @@ def test_tau_image_reads_one_eigensystem(rng, count_calls):
     assert families == [] and ranges == []
     assert v.shape == (3,)
     assert abs(np.vdot(u[:, 0], v)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scalar_action_sampler_refuses_a_non_scalar_image():
+    """The map of test_recover_rejects_non_isomorphism sends 0.5 * identity
+    to diag(0.5, 0.25), which is off the center."""
+    profile = BlockProfile((2,))
+
+    def fwd(x):
+        return DirectSumElement(profile, [x.blocks[0] @ np.diag([1.0, 0.5])])
+
+    oracle = OrderIsoOracle(profile, profile, "eff", fwd, lambda y: y)
+    with pytest.raises(DecompositionError, match="is not scalar"):
+        sample_scalar_action(oracle, np.linspace(0.0, 1.0, 5))
+
+
+def test_scalar_action_sampler_refuses_a_two_factor_oracle():
+    oracle = OrderIsoOracle.from_iso(DirectSumIso.identity(BlockProfile((2, 2)), "eff"))
+    with pytest.raises(DimensionMismatchError, match="single-factor"):
+        sample_scalar_action(oracle, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("cone", ["eff", "pos", "sa"])
+def test_reassembly_residuals_reproduce_the_decomposer_verification(rng, cone):
+    """Every image block gains 1e-10 * trace(x) * identity, which a block
+    oracle sees only its own slot's share of, so the residuals are nonzero,
+    below eps_recon, and depend on the samples."""
+    profile = BlockProfile((2, 3, 2))
+    iso = random_direct_sum_iso(rng, profile, cone, fix_zero=(cone == "sa"))
+    base = OrderIsoOracle.from_iso(iso)
+
+    def fwd(x):
+        leak = 1e-10 * sum(float(np.real(np.trace(b))) for b in x.blocks)
+        return base.forward(x).map_blocks(lambda b: b + leak * np.eye(b.shape[0]))
+
+    oracle = OrderIsoOracle(profile, iso.codomain_profile, cone, fwd, base.inverse)
+    dec = DirectSumIsoDecomposer(n_verify=3, random_state=7).fit(oracle)
+    assert min(dec.block_residuals_) > 0.0
+    residuals = reassembly_residuals(
+        oracle, rng_from(7), 3, dec.permutation_, dec.block_oracles_, dec.shift_
+    )
+    assert tuple(residuals) == dec.block_residuals_
