@@ -260,10 +260,6 @@ class Report:
             entry["detail"] = detail
         self.verdicts.append(entry)
 
-    @property
-    def overall_pass(self) -> bool:
-        return all(v["pass"] for v in self.verdicts)
-
     def to_dict(self) -> dict:
         out = {
             "schema_version": SCHEMA_VERSION,

@@ -11,7 +11,7 @@ import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement, _check_profiles
 from .errors import DimensionMismatchError, SpeclatError
-from .linalg import EigenSystem, _eigh_hermitian, eigh, orthonormal_range, range_basis, spectral_sum
+from .linalg import EigenSystem, _eigh_hermitian, eigh, orthonormal_range, spectral_sum, split_range
 from .monotone import MonotoneBijection
 from .order import SELF_ADJOINT, _check_cone_name, _check_spectrum, check_scalar_map, endpoint_deviations
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -48,9 +48,7 @@ class ProjectionIsomorphism:
         return cls(np.eye(n))
 
     def apply(self, p, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        basis = range_basis(p, tol)
-        if basis.shape[1] == 0:
-            return np.zeros((self.n, self.n), dtype=np.complex128)
+        basis, _ = split_range(check_hermitian(p, tol, "p"), tol)
         if self.antilinear:
             basis = basis.conj()
         return orthonormal_range(self.T @ basis, tol)

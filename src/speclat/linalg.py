@@ -125,6 +125,24 @@ def _eigh_hermitian(h: np.ndarray, tol: ToleranceConfig) -> EigenSystem:
     return EigenSystem(values[order], vectors[:, order], ends)
 
 
+def split_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (columns) of the numerical range of a matrix and of
+    its orthogonal complement: the left singular vectors with singular value
+    above eps_proj, and the rest.
+
+    The complement holds the unit vectors v with |a* v| <= eps_proj. For
+    a = [1 - P_1 ... 1 - P_k], |a* v|^2 is the sum of the squared sines of
+    the angles between v and the ranges of the P_i, so the rule compares a
+    sine with eps_proj, as the order tests do. Wide matrices are fine.
+    """
+    if a.shape[1] == 0:
+        # no range; LAPACK would cost as much here as on a small matrix
+        return a, np.eye(a.shape[0], dtype=np.complex128)
+    u, s, _ = np.linalg.svd(a)
+    rank = int(np.count_nonzero(s > tol.eps_proj))
+    return u[:, :rank], u[:, rank:]
+
+
 def orthonormal_range(cols, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Projection onto the span of the given vectors.
 
@@ -132,7 +150,7 @@ def orthonormal_range(cols, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     ----------
     cols : array-like, shape (n, k), or sequence of vectors
         Spanning vectors (linear dependence is fine); the numerical rank is
-        decided by the singular-value threshold eps_proj.
+        decided by split_range.
     """
     if isinstance(cols, np.ndarray):
         a = np.asarray(cols, dtype=np.complex128)
@@ -145,21 +163,9 @@ def orthonormal_range(cols, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         a = np.column_stack(vecs)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected vectors, got array of shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise DimensionMismatchError("vectors have empty dimension")
-    if a.shape[1] == 0:
-        return np.zeros((n, n), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol.eps_proj))
-    return spectral_sum(u[:, :rank], 1.0)
-
-
-def range_basis(p, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of a projection."""
-    es = eigh(p, tol)
-    keep = es.values > 0.5
-    return es.vectors[:, keep]
+    return spectral_sum(split_range(a, tol)[0], 1.0)
 
 
 def is_psd(x, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

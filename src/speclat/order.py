@@ -5,10 +5,11 @@ family of x. Order tests read the clustered eigensystems directly: each
 spectral projection is a prefix span of an eigenbasis, so one product of
 the two bases decides the comparison at every merged breakpoint. Suprema
 are pointwise projection meets at the merged breakpoints, found inside the
-first operand's eigenbasis: at each breakpoint a small Gram matrix, with
-proj_meet's eps_proj rule, gives the directions the meet gains there, and
-no n x n projection is formed. Since x -> -x reverses the order, infima are
-the negated suprema of the negations.
+first operand's eigenbasis by split_range, the singular-value rule of the
+projection lattice; no n x n projection is formed. Like spec_leq, that
+rule measures sines against eps_proj, so x <= x v y and De Morgan's laws
+hold for nearly aligned operands. Since x -> -x reverses the order, infima
+are the negated suprema of the negations.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConeError, DimensionMismatchError, InvalidFamilyError
 from .family import merged_breakpoints
-from .linalg import EigenSystem, _eigh_hermitian, eigh, spectral_sum
+from .linalg import EigenSystem, _eigh_hermitian, eigh, spectral_sum, split_range
 from .monotone import MonotoneBijection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, check_same_dim, max_abs
@@ -141,46 +142,51 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
     E^join_l is the meet of the E^m_l, so it lies in the first operand's
     E_l, the span of its first a eigenvectors V[:, :a]. A vector V[:, :a] c
     lies in another operand's E_l, the span of its first b eigenvectors
-    V_k[:, :b], exactly when C_k[:a, b:]* c = 0, where C_k = V* V_k. So on
-    the first operand's range, sum_k C_k[:a, b:] C_k[:a, b:]* is the Gram
-    sum_i (1 - P_i) of proj_meet, and its eigenvectors with eigenvalue at
-    most eps_proj span the meet. Adding Q Q*, for the directions Q found
-    at earlier breakpoints, leaves only the directions new at l. Each new
-    direction carries l as its eigenvalue in the result.
+    V_k[:, :b], exactly when C_k[:a, b:]* c = 0, where C_k = V* V_k. So
+    split_range of W* [C_k[:a, b_k:]], for an orthonormal basis W of the
+    first operand's E_l minus the directions found at earlier breakpoints,
+    gives the directions new at l (the complement), which carry l as their
+    eigenvalue, and the next W (the range). At the last breakpoint every
+    E_l is the identity: the matrix has no columns, so all of W is new.
     """
     first = systems[0]
     n = first.n
-    cross = [first.vectors.conj().T @ es.vectors for es in systems[1:]]
+    # a single operand is joined with itself
+    others = systems[1:] or systems
+    cross = [first.vectors.conj().T @ es.vectors for es in others]
     reps = merged_breakpoints(systems, tol)
-    counts = [es.columns_at(reps) for es in systems]
-    # columns of q: orthonormal directions of the join in first.vectors
-    # coordinates, in the order they appear
-    q = np.zeros((n, n), dtype=np.complex128)
+    tops = first.columns_at(reps)
+    counts = [es.columns_at(reps) for es in others]
+    # in first.vectors coordinates, f holds the join's directions found so far
+    # (carrying values[:found]), then W, then the coordinate vectors beyond a
+    f = np.eye(n, dtype=np.complex128)
     values = np.empty(n)
     found = 0
     for i, lam in enumerate(reps):
-        a = counts[0][i]
-        if a <= found:
+        a = tops[i]
+        r = a - found
+        if r == 0:
             continue
-        known = q[:a, :found]
-        gram = known @ known.conj().T
-        for c, b in zip(cross, counts[1:]):
-            outside = c[:a, b[i]:]
-            gram += outside @ outside.conj().T
-        w, u = np.linalg.eigh(gram)
-        # every family is the identity at the last breakpoint, so all the
-        # remaining directions are new there
-        fresh = a - found if i == len(reps) - 1 else int(np.count_nonzero(w <= tol.eps_proj))
-        q[:a, found : found + fresh] = u[:, :fresh]
-        values[found : found + fresh] = lam
-        found += fresh
-    return spectral_sum(first.vectors @ q, values)
+        w = f[:a, found:a]
+        outside = [c[:a, b[i] :] for c, b in zip(cross, counts)]
+        m = w.conj().T @ (outside[0] if len(outside) == 1 else np.hstack(outside))
+        # the split gains at least r - m.shape[1] directions; when that bound
+        # is 0, the singular values alone tell whether it gains any
+        if m.shape[1] >= r:
+            if np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tol.eps_proj) == r:
+                continue
+        rest, fresh = split_range(m, tol)
+        new = found + fresh.shape[1]
+        f[:a, found:new], f[:a, new:a] = w @ fresh, w @ rest
+        values[found:new] = lam
+        found = new
+    return spectral_sum(first.vectors @ f, values)
 
 
 def spec_join(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Supremum in the spectral order: the element whose family is the
     pointwise projection meet of the input families, computed in the first
-    operand's eigenbasis with the eps_proj null-space rule of proj_meet."""
+    operand's eigenbasis with the split_range rule of proj_meet."""
     return _join(_validated(xs, cone, tol), tol)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import orthonormal_range, spectral_sum
+from .linalg import orthonormal_range, spectral_sum, split_range
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_same_dim, max_abs, proj_rank
 
@@ -25,18 +25,15 @@ def proj_leq(p, q, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 def proj_meet(ps, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Projection onto the intersection of the ranges.
 
-    The intersection is the null space of sum_i (1 - P_i): a unit vector is
-    fixed by every P_i exactly when that positive sum annihilates it.
-    Eigenvectors with eigenvalue <= eps_proj form the intersection basis.
+    A unit vector v lies in every range exactly when (1 - P_i) v = 0 for
+    every i, that is, when v is orthogonal to the range of the matrix
+    [1 - P_1 ... 1 - P_k]; split_range gives that complement.
     """
     ps = [np.asarray(p, dtype=np.complex128) for p in ps]
     if not ps:
         raise DimensionMismatchError("meet of an empty projection list")
-    n = check_same_dim(*ps)
-    eye = np.eye(n, dtype=np.complex128)
-    gram = sum(eye - p for p in ps)
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    return spectral_sum(v[:, w <= tol.eps_proj], 1.0)
+    eye = np.eye(check_same_dim(*ps), dtype=np.complex128)
+    return spectral_sum(split_range(np.hstack([eye - p for p in ps]), tol)[1], 1.0)
 
 
 def proj_join(ps, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -25,11 +25,11 @@ from .directsum import (
     embed_block,
     scalar_block,
 )
-from .errors import DecompositionError, DimensionMismatchError, NotMonotoneError
+from .errors import ConeError, DecompositionError, DimensionMismatchError, NotMonotoneError
 from .isos import FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
 from .linalg import eigh, spectral_sum
 from .monotone import MonotoneBijection
-from .order import EFFECT, SELF_ADJOINT
+from .order import EFFECT, SELF_ADJOINT, check_scalar_map, endpoint_deviations
 from .sampling import random_ds_element, random_effect, random_unitary, rng_from
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import max_abs
@@ -67,7 +67,7 @@ def _single_factor_dim(oracle: OrderIsoOracle) -> int:
 
 def _factor_image(oracle: OrderIsoOracle, m: np.ndarray) -> np.ndarray:
     """The image of m under a single-factor oracle, as a matrix."""
-    return oracle.forward(embed_block(oracle.domain_profile, 0, m)).blocks[0]
+    return oracle.forward(DirectSumElement(oracle.domain_profile, [m], validate=False)).blocks[0]
 
 
 def sample_scalar_action(oracle: OrderIsoOracle, grid, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -180,14 +180,11 @@ class FactorCanonicalRecovery(BaseRecovery):
 
         grid = np.linspace(0.0, 1.0, self.grid_points)
         scalars = sample_scalar_action(oracle, grid, tol)
-        if abs(scalars[0]) > 10 * tol.eps_recon or abs(scalars[-1] - 1.0) > 10 * tol.eps_recon:
-            raise DecompositionError(
-                "scalar action does not fix the endpoints of [0, 1]"
-            )
         try:
             f = MonotoneBijection.piecewise_linear(grid, scalars)
-        except NotMonotoneError as exc:
-            raise DecompositionError(f"sampled scalar action is not increasing: {exc}") from None
+            check_scalar_map(endpoint_deviations(f, EFFECT), EFFECT, tol)
+        except (NotMonotoneError, ConeError) as exc:
+            raise DecompositionError(f"scalar action is not a bijection of [0, 1]: {exc}") from None
         mid = (scalars[0] + scalars[-1]) / 2.0
 
         # tau on coordinate projections fixes the columns up to scale;

@@ -12,6 +12,8 @@ from .linalg import spectral_sum
 from .monotone import MonotoneBijection
 from .order import EFFECT, POSITIVE, SELF_ADJOINT
 
+_N_KNOTS = 5
+
 
 def rng_from(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
@@ -28,9 +30,9 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (g + g.conj().T) / 2.0
+    return (g + g.conj().T) / 2.0
 
 
 def random_with_spectrum(rng: np.random.Generator, values) -> np.ndarray:
@@ -50,28 +52,27 @@ def random_effect(rng: np.random.Generator, n: int) -> np.ndarray:
     return random_with_spectrum(rng, np.sort(rng.uniform(0.0, 1.0, n)))
 
 
-def random_psd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return random_with_spectrum(rng, np.sort(rng.uniform(0.0, scale, n)))
+def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
+    return random_with_spectrum(rng, np.sort(rng.uniform(0.0, 1.0, n)))
 
 
-def random_in_cone(rng: np.random.Generator, n: int, cone: str, scale: float = 1.0) -> np.ndarray:
+def random_in_cone(rng: np.random.Generator, n: int, cone: str) -> np.ndarray:
     if cone == EFFECT:
         return random_effect(rng, n)
     if cone == POSITIVE:
-        return random_psd(rng, n, scale)
-    return random_hermitian(rng, n, scale)
+        return random_psd(rng, n)
+    return random_hermitian(rng, n)
 
 
 def random_ds_element(
-    rng: np.random.Generator, profile: BlockProfile, cone: str = SELF_ADJOINT, scale: float = 1.0
+    rng: np.random.Generator, profile: BlockProfile, cone: str = SELF_ADJOINT
 ) -> DirectSumElement:
-    return DirectSumElement(profile, [random_in_cone(rng, d, cone, scale) for d in profile.dims])
+    return DirectSumElement(profile, [random_in_cone(rng, d, cone) for d in profile.dims])
 
 
 def random_monotone_bijection(
     rng: np.random.Generator,
     cone: str = SELF_ADJOINT,
-    n_knots: int = 5,
     grid: int | None = None,
     fix_zero: bool = False,
 ) -> MonotoneBijection:
@@ -87,15 +88,15 @@ def random_monotone_bijection(
 
     if cone == EFFECT:
         if grid is not None:
-            interior = 1 + rng.choice(grid - 1, size=min(n_knots, grid - 1), replace=False)
+            interior = 1 + rng.choice(grid - 1, size=min(_N_KNOTS, grid - 1), replace=False)
             knots = np.concatenate([[0.0], np.sort(interior) / grid, [1.0]])
         else:
-            knots = increasing(0.0, 1.0, n_knots + 2)
+            knots = increasing(0.0, 1.0, _N_KNOTS + 2)
         values = increasing(0.0, 1.0, len(knots))
         return MonotoneBijection.piecewise_linear(knots, values)
     if cone == POSITIVE:
         hi = rng.uniform(1.0, 3.0)
-        knots = increasing(0.0, hi, n_knots + 2)
+        knots = increasing(0.0, hi, _N_KNOTS + 2)
         values = increasing(0.0, rng.uniform(1.0, 3.0), len(knots))
         return MonotoneBijection.piecewise_linear(
             knots, values, right_slope=rng.uniform(0.5, 2.0)
@@ -103,7 +104,7 @@ def random_monotone_bijection(
     lo, hi = -rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)
     vlo, vhi = -rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)
     if fix_zero:
-        half = max(1, n_knots // 2)
+        half = max(1, _N_KNOTS // 2)
         knots = np.concatenate(
             [np.sort(rng.uniform(lo, -0.05, half)), [0.0], np.sort(rng.uniform(0.05, hi, half))]
         )
@@ -111,14 +112,14 @@ def random_monotone_bijection(
             [np.sort(rng.uniform(vlo, -0.05, half)), [0.0], np.sort(rng.uniform(0.05, vhi, half))]
         )
     else:
-        knots = increasing(lo, hi, n_knots + 2)
-        values = increasing(vlo, vhi, n_knots + 2)
+        knots = increasing(lo, hi, _N_KNOTS + 2)
+        values = increasing(vlo, vhi, _N_KNOTS + 2)
     return MonotoneBijection.piecewise_linear(
         knots, values, left_slope=rng.uniform(0.5, 2.0), right_slope=rng.uniform(0.5, 2.0)
     )
 
 
-def random_shear(rng: np.random.Generator, n: int, strength: float = 1.0) -> np.ndarray:
+def random_shear(rng: np.random.Generator, n: int) -> np.ndarray:
     """Invertible, decidedly non-unitary matrix: identity plus a strictly
     upper-triangular perturbation with at least one sizable entry."""
     m = np.eye(n, dtype=np.complex128)
@@ -126,7 +127,7 @@ def random_shear(rng: np.random.Generator, n: int, strength: float = 1.0) -> np.
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), k=1
     )
     if n > 1:
-        upper[0, 1] += strength * (1.0 + 0.5j)
+        upper[0, 1] += 1.0 + 0.5j
     return m + upper
 
 

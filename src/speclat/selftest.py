@@ -39,7 +39,6 @@ from .sampling import (
     random_monotone_bijection,
     random_projection,
     random_projection_isomorphism,
-    random_psd,
     rng_from,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig

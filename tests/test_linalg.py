@@ -3,8 +3,8 @@ import pytest
 
 from speclat.errors import DimensionMismatchError, NonHermitianError
 from speclat.family import merged_breakpoints
-from speclat.linalg import eigh, is_psd, orthonormal_range, range_basis, spectral_sum
-from speclat.sampling import random_hermitian, random_projection, random_unitary, random_with_spectrum
+from speclat.linalg import eigh, is_psd, orthonormal_range, spectral_sum, split_range
+from speclat.sampling import random_hermitian, random_unitary, random_with_spectrum
 from speclat.tolerances import ToleranceConfig
 from speclat.validation import max_abs
 
@@ -89,11 +89,16 @@ def test_orthonormal_range_is_projection(rng):
         assert max_abs(p @ p - p) <= 1e-12
 
 
-def test_range_basis_roundtrip(rng):
-    p = random_projection(rng, 5, rank=2)
-    basis = range_basis(p)
-    assert basis.shape == (5, 2)
-    np.testing.assert_allclose(basis @ basis.conj().T, p, atol=1e-10)
+def test_split_range_of_wide_and_empty_matrices():
+    """The split is at singular value eps_proj = 1e-9, and a matrix with no
+    columns has an empty range."""
+    a = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1e-10, 0.0], [0.0, 0.0, 0.0, 2e-9]])
+    inside, outside = split_range(a)
+    assert max_abs(spectral_sum(inside, 1.0) - np.diag([1.0, 0.0, 1.0])) <= 1e-15
+    assert max_abs(spectral_sum(outside, 1.0) - np.diag([0.0, 1.0, 0.0])) <= 1e-15
+    inside, outside = split_range(np.zeros((3, 0)))
+    assert inside.shape == (3, 0)
+    assert max_abs(spectral_sum(outside, 1.0) - np.eye(3)) <= 1e-15
 
 
 def test_is_psd_examples():

@@ -167,6 +167,28 @@ def test_join_reaches_identity_at_last_breakpoint(rng):
             assert abs(got[-1] - reps[-1]) <= 1e-12
 
 
+def _near_rotation(rng, n, eps):
+    """exp(i eps h) for a random Hermitian h, through its eigensystem."""
+    w, v = np.linalg.eigh(random_hermitian(rng, n))
+    return (v * np.exp(1j * eps * w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6, 1e-5])
+def test_join_and_meet_bound_nearly_aligned_operands(rng, eps):
+    """y = u x u* with u within eps of the identity: the eigenbases of x and
+    y differ by a rotation of order eps, and the join and meet still bound
+    both operands."""
+    for n in range(2, 9):
+        for _ in range(5):
+            x = random_hermitian(rng, n)
+            u = _near_rotation(rng, n, eps)
+            y = u @ x @ u.conj().T
+            y = (y + y.conj().T) / 2.0
+            top, bottom = spec_join([x, y]), spec_meet([x, y])
+            assert spec_leq(x, top) and spec_leq(y, top)
+            assert spec_leq(bottom, x) and spec_leq(bottom, y)
+
+
 NAN, INF, EYE = np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]), np.eye(2)
 
 

@@ -5,7 +5,7 @@ from speclat.errors import DimensionMismatchError
 from speclat.linalg import orthonormal_range
 from speclat.projections import is_atomic, proj_complement, proj_join, proj_leq, proj_meet
 from speclat.sampling import random_projection
-from speclat.validation import max_abs
+from speclat.validation import max_abs, proj_rank
 
 P_E1 = np.diag([1.0, 0.0]).astype(complex)
 P_E2 = np.diag([0.0, 1.0]).astype(complex)
@@ -118,3 +118,25 @@ def test_distributivity_fails_non_commuting():
     np.testing.assert_allclose(lhs, p, atol=1e-9)
     np.testing.assert_allclose(rhs, np.eye(2), atol=1e-9)
     assert max_abs(lhs - rhs) > 0.5
+
+
+def _lines_at_angle(theta):
+    p = orthonormal_range([np.array([1.0, 0.0, 0.0])])
+    q = orthonormal_range([np.array([np.cos(theta), np.sin(theta), 0.0])])
+    return p, q
+
+
+def test_de_morgan_for_nearly_aligned_lines():
+    """Lines 1e-6 apart span a plane, and their complements meet in the
+    complement of that plane: join and meet decide rank by one rule."""
+    p, q = _lines_at_angle(1e-6)
+    join = proj_join([p, q])
+    assert proj_rank(join) == 2
+    meet = proj_meet([proj_complement(p), proj_complement(q)])
+    assert max_abs(join - proj_complement(meet)) <= 1e-12
+
+
+def test_meet_of_nearly_aligned_lines_is_a_lower_bound():
+    p, q = _lines_at_angle(1e-6)
+    meet = proj_meet([p, q])
+    assert proj_leq(meet, p) and proj_leq(meet, q)

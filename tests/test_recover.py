@@ -106,6 +106,20 @@ def test_recover_rejects_non_isomorphism():
         FactorCanonicalRecovery(random_state=0).fit(oracle)
 
 
+def test_recover_refuses_a_scalar_action_that_moves_zero():
+    """f(0) = 5e-8 is above eps_recon, so the sampled scalar action is no
+    bijection of [0, 1]; fit says so with a DecompositionError."""
+    profile = BlockProfile((2,))
+    lift = 5e-8
+
+    def fwd(x):
+        return DirectSumElement(profile, [lift * np.eye(2) + (1.0 - lift) * x.blocks[0]])
+
+    oracle = OrderIsoOracle(profile, profile, "eff", fwd, lambda y: y)
+    with pytest.raises(DecompositionError, match="does not fix 0"):
+        FactorCanonicalRecovery(grid_points=9, n_verify=5).fit(oracle)
+
+
 def test_get_set_params():
     rec = FactorCanonicalRecovery(grid_points=65)
     params = rec.get_params()
@@ -287,11 +301,10 @@ def test_tau_image_reads_one_eigensystem(rng, count_calls):
     oracle = OrderIsoOracle(profile, profile, "eff", lambda x: image, lambda y: y)
     solves = count_calls(speclat.linalg.eigh)
     families = count_calls(speclat.family.family_of)
-    ranges = count_calls(speclat.linalg.range_basis)
     q = np.diag([1.0, 0.0, 0.0]).astype(complex)
     v = FactorCanonicalRecovery()._tau_image(oracle, q, 0.5)
     assert len(solves) == 1 and np.array_equal(solves[0][0], image.blocks[0])
-    assert families == [] and ranges == []
+    assert families == []
     assert v.shape == (3,)
     assert abs(np.vdot(u[:, 0], v)) == pytest.approx(1.0, abs=1e-12)
 
@@ -335,3 +348,18 @@ def test_reassembly_residuals_reproduce_the_decomposer_verification(rng, cone):
         oracle, rng_from(7), 3, dec.permutation_, dec.block_oracles_, dec.shift_
     )
     assert tuple(residuals) == dec.block_residuals_
+
+
+def test_reassembly_validates_each_block_once(count_calls):
+    """One sample over profile (2, 3) runs check_hermitian 10 times: once
+    per block of the sample (2) and of the oracle's image of it (2), and
+    for each codomain slot once where the restricted oracle embeds the
+    block and once per block of the full image (3 per slot)."""
+    import speclat.validation
+
+    profile = BlockProfile((2, 3))
+    oracle = OrderIsoOracle.from_iso(random_direct_sum_iso(rng_from(3), profile, "eff"))
+    dec = DirectSumIsoDecomposer(n_verify=1, random_state=0).fit(oracle)
+    checks = count_calls(speclat.validation.check_hermitian)
+    reassembly_residuals(oracle, rng_from(0), 1, dec.permutation_, dec.block_oracles_, dec.shift_)
+    assert len(checks) == 10
