@@ -163,7 +163,9 @@ class FactorCanonicalIso:
         """Theta_tau(f(x)) after one validation of x.
 
         An element that is exactly c * 1, entry for entry, maps to
-        f(c) * 1 (tau fixes the identity) with no eigensolve. Any other
+        f(c) * 1 (tau fixes the identity) with no eigensolve. Entries
+        (1, 0) and (1, 1) turn most other elements away before the whole
+        matrix is compared, and a 1 x 1 element is always scalar. Any other
         element is decomposed once, and its cone membership is read from
         that eigensystem before the spectrum is transported.
         """
@@ -172,12 +174,15 @@ class FactorCanonicalIso:
         n = h.shape[0]
         c = 0.0 + h[0, 0].real  # 0.0 + keeps a zero scalar unsigned, as breakpoints are
         # c * 1 needs no eigensystem: its spectrum is its diagonal
-        es = None if np.array_equal(h, c * np.eye(n)) else _eigh_hermitian(h, tol)
-        _check_spectrum(h.diagonal().real if es is None else es.values, self.cone, tol, "element")
+        scalar = n == 1 or (h[1, 0] == 0 and h[1, 1] == c and np.array_equal(h, c * np.eye(n)))
+        es = None if scalar else _eigh_hermitian(h, tol)
+        _check_spectrum(h.diagonal().real if scalar else es.values, self.cone, tol, "element")
         check_scalar_map(self._endpoint_deviations, self.cone, tol)
-        if es is None:
+        if scalar:
             _check_tau_dim(self.tau, n)
-            return np.diag(np.full(n, self.f(c), dtype=np.complex128))
+            out = np.zeros((n, n), dtype=np.complex128)
+            out.flat[:: n + 1] = self.f(c)
+            return out
         return _transported_spectrum(self.tau, es, self.f)
 
     def inverse(self) -> "FactorCanonicalIso":

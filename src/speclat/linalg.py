@@ -58,7 +58,11 @@ class EigenSystem:
     @property
     def column_breakpoints(self) -> np.ndarray:
         """The breakpoint of each column: eigenvalues replaced by the mean
-        of their cluster."""
+        of their cluster. With no tied eigenvalue there is one column per
+        cluster, so this is breakpoints itself (values + 0.0), with no
+        repeat."""
+        if len(self.offsets) == self.n:
+            return self.breakpoints
         return np.repeat(self.breakpoints, np.diff(self.offsets, prepend=0))
 
     def columns_at(self, points) -> np.ndarray:
@@ -110,13 +114,22 @@ def _eigh_hermitian(h: np.ndarray, tol: ToleranceConfig) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise SpeclatError(f"eigensolver did not converge: {exc}") from None
     ends = cluster_ends(values, tol.eps_eig)
-    # hypot rounds like abs() of a complex scalar; np.abs differs in the last bit
-    mag = np.hypot(vectors.real, vectors.imag)
-    # a unit column has an entry of modulus at least n^-1/2, so every column
-    # has a supported entry
-    lead = np.argmax(mag > _PHASE_FLOOR, axis=0)
-    cols = np.arange(len(values))
-    vectors = vectors * (vectors[lead, cols].conj() / mag[lead, cols])
+    # each column's phase is set by its first entry of modulus above
+    # _PHASE_FLOOR, which is row 0 for almost every eigenbasis, so the moduli
+    # of row 0 alone usually decide it; hypot rounds like abs() of a complex
+    # scalar, while np.abs differs in the last bit
+    top = vectors[0]
+    mag = np.hypot(top.real, top.imag)
+    if (mag > _PHASE_FLOOR).all():
+        phase = top.conj() / mag
+    else:
+        # a unit column has an entry of modulus at least n^-1/2, so every
+        # column has a supported entry
+        mag = np.hypot(vectors.real, vectors.imag)
+        lead = np.argmax(mag > _PHASE_FLOOR, axis=0)
+        cols = np.arange(len(values))
+        phase = vectors[lead, cols].conj() / mag[lead, cols]
+    vectors = vectors * phase
     if len(ends) == len(values):
         # no ties, so nothing to reorder
         return EigenSystem(values, vectors, ends)

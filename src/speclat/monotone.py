@@ -79,18 +79,31 @@ class MonotoneBijection:
         return cls.power(1.0)
 
     def __call__(self, t):
+        """f at a scalar (returned as a float) or elementwise on an array.
+
+        A piecewise-linear map interpolates between its knots and runs
+        along its affine tails outside them. When every entry lies within
+        the knots, the tail passes are skipped: inside the knots they
+        return the interpolated values unchanged.
+        """
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
         if self.kind == "power":
             y = np.sign(t) * np.abs(t) ** self.exponent
         else:
-            y = np.interp(t, self.knots, self.values)
-            y = np.where(
-                t < self.knots[0], self.values[0] + self.left_slope * (t - self.knots[0]), y
-            )
-            y = np.where(
-                t > self.knots[-1], self.values[-1] + self.right_slope * (t - self.knots[-1]), y
-            )
+            knots, values = self.knots, self.values
+            # asarray: a 0-d input stays a 0-d array, as the tail passes return it
+            y = np.asarray(np.interp(t, knots, values))
+            # the tails change nothing when every input lies within the
+            # knots; min and max propagate NaN, which fails both comparisons,
+            # so a NaN entry still sends the other entries through the tails
+            if t.ndim == 0:
+                inside = knots[0] <= float(t) <= knots[-1]
+            else:
+                inside = t.size == 0 or (t.min() >= knots[0] and t.max() <= knots[-1])
+            if not inside:
+                y = np.where(t < knots[0], values[0] + self.left_slope * (t - knots[0]), y)
+                y = np.where(t > knots[-1], values[-1] + self.right_slope * (t - knots[-1]), y)
         return float(y) if scalar else y
 
     def inverse(self) -> "MonotoneBijection":

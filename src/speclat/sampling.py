@@ -49,25 +49,24 @@ def random_projection(rng: np.random.Generator, n: int, rank: int | None = None)
 
 
 def random_effect(rng: np.random.Generator, n: int) -> np.ndarray:
-    return random_with_spectrum(rng, np.sort(rng.uniform(0.0, 1.0, n)))
-
-
-def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A uniform(0, 1) spectrum in a random basis: an effect, and so also a
+    positive element."""
     return random_with_spectrum(rng, np.sort(rng.uniform(0.0, 1.0, n)))
 
 
 def random_in_cone(rng: np.random.Generator, n: int, cone: str) -> np.ndarray:
-    if cone == EFFECT:
+    if cone in (EFFECT, POSITIVE):
         return random_effect(rng, n)
-    if cone == POSITIVE:
-        return random_psd(rng, n)
     return random_hermitian(rng, n)
 
 
 def random_ds_element(
     rng: np.random.Generator, profile: BlockProfile, cone: str = SELF_ADJOINT
 ) -> DirectSumElement:
-    return DirectSumElement(profile, [random_in_cone(rng, d, cone) for d in profile.dims])
+    # spectral_sum and (g + g*)/2 are exactly Hermitian, so there is nothing
+    # to validate
+    blocks = [random_in_cone(rng, d, cone) for d in profile.dims]
+    return DirectSumElement(profile, blocks, validate=False)
 
 
 def random_monotone_bijection(

@@ -32,7 +32,8 @@ def check_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix")
     """Validate hermiticity within eps_proj and return the exactly
     symmetrized matrix (A + A*)/2. Entries that are not finite are refused."""
     m = as_square_matrix(a, name)
-    residual = max_abs(m - m.conj().T)
+    mh = m.conj().T
+    residual = max_abs(m - mh)
     # a NaN or infinite entry makes the residual NaN or infinite, so the
     # finiteness test runs only when this one fails
     if not residual <= tol.eps_proj:
@@ -41,7 +42,7 @@ def check_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix")
         raise NonHermitianError(
             f"{name} is not Hermitian: max |A - A*| = {residual:.3e} > {tol.eps_proj:.1e}"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + mh) / 2.0
 
 
 def check_same_dim(*mats: np.ndarray) -> int:

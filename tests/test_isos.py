@@ -314,6 +314,45 @@ def test_scalar_shortcut_agrees_with_the_transported_spectrum(rng):
                 assert max_abs(got - _transported_spectrum(tau, eigh(x), f)) <= 1e-14
 
 
+def test_scalar_probe_decomposes_a_block_scalar_only_at_its_first_entries(count_calls):
+    """The c * 1 shortcut first compares entries (1, 0) and (1, 1). A block
+    that equals c * 1 there and at (0, 0) but not at (0, 2) must still be
+    decomposed, and map as the transported spectrum does. A 1 x 1 block is
+    scalar and needs no eigensolve; out of the cone, or not finite, it is
+    refused as before, and so is a block with a NaN or an infinite entry."""
+    f = MonotoneBijection.piecewise_linear([-1.0, 0.0, 1.0], [-2.0, 0.0, 0.5])
+    eighs = count_calls(np.linalg.eigh)
+    for tau in (ProjectionIsomorphism(SHEAR), ProjectionIsomorphism(SHEAR, antilinear=True)):
+        iso = FactorCanonicalIso(f, tau, "sa")
+        for c in (-0.5, 0.0, 0.5):
+            x = c * np.eye(3, dtype=complex)
+            x[0, 2] = x[2, 0] = 0.25
+            eighs.clear()
+            got = iso.apply(x)
+            assert len(eighs) == 1
+            assert got.tobytes() == _transported_spectrum(tau, eigh(x), f).tobytes()
+            # a scalar block keeps unsigned zeros off the diagonal
+            eighs.clear()
+            got = iso.apply(c * np.eye(3))
+            assert eighs == []
+            assert got.tobytes() == np.diag(np.full(3, f(c), dtype=complex)).tobytes()
+    eff = FactorCanonicalIso(MonotoneBijection.power(2.0), ProjectionIsomorphism.identity(1), "eff")
+    eighs.clear()
+    assert eff.apply([[0.5]]).tobytes() == np.array([[0.25]], dtype=complex).tobytes()
+    assert eighs == []
+    with pytest.raises(ConeError, match="1.5 > 1"):
+        eff.apply([[1.5]])
+    with pytest.raises(ConeError, match="-5.000e-01 < 0"):
+        eff.apply([[-0.5]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NonFiniteError):
+            eff.apply([[bad]])
+        x = 0.5 * np.eye(3, dtype=complex)
+        x[0, 2] = x[2, 0] = bad
+        with pytest.raises(NonFiniteError):
+            FactorCanonicalIso(f, ProjectionIsomorphism(SHEAR), "sa").apply(x)
+
+
 def _count_calls(monkeypatch, module, names, calls):
     """Record the name of every call to module.<name> in calls."""
     for name in names:

@@ -3,7 +3,7 @@ import pytest
 
 from speclat.errors import DimensionMismatchError, NonHermitianError
 from speclat.family import merged_breakpoints
-from speclat.linalg import eigh, is_psd, orthonormal_range, spectral_sum, split_range
+from speclat.linalg import EigenSystem, eigh, is_psd, orthonormal_range, spectral_sum, split_range
 from speclat.sampling import random_hermitian, random_unitary, random_with_spectrum
 from speclat.tolerances import ToleranceConfig
 from speclat.validation import max_abs
@@ -181,6 +181,22 @@ def test_eigh_matches_per_column_reference(rng):
                 assert es.vectors.tobytes() == vectors.tobytes()
                 assert es.offsets.tolist() == offsets
                 assert es.breakpoints.tobytes() == breakpoints.tobytes()
+
+
+def test_column_breakpoints_repeat_each_breakpoint_over_its_cluster(rng):
+    """column_breakpoints is breakpoints itself when no eigenvalue is tied.
+    With and without ties it equals np.repeat(breakpoints, counts) bit for
+    bit, also for a -0.0 eigenvalue, which breakpoints store as +0.0."""
+    systems = [EigenSystem(np.array([-0.0, 1.0]), np.eye(2, dtype=complex), np.array([1, 2]))]
+    for n in range(1, 7):
+        for w in _spectra(rng, n):
+            systems.append(eigh(random_with_spectrum(rng, w)))
+    tied = 0
+    for es in systems:
+        tied += len(es.offsets) < es.n
+        counts = np.diff(es.offsets, prepend=0)
+        assert es.column_breakpoints.tobytes() == np.repeat(es.breakpoints, counts).tobytes()
+    assert 0 < tied < len(systems)
 
 
 def test_merged_breakpoints_matches_reference_loop(rng):

@@ -23,7 +23,6 @@ from speclat.sampling import (
     random_hermitian,
     random_in_cone,
     random_projection,
-    random_psd,
     random_unitary,
     random_with_spectrum,
 )
@@ -291,7 +290,7 @@ def test_sublattice_closure(rng):
         es = [random_effect(rng, n) for _ in range(2)]
         for out in (spec_meet(es, "eff"), spec_join(es, "eff")):
             check_cone(out, "eff")
-        ps = [random_psd(rng, n) for _ in range(2)]
+        ps = [random_effect(rng, n) for _ in range(2)]
         for out in (spec_meet(ps, "pos"), spec_join(ps, "pos")):
             check_cone(out, "pos")
 
@@ -312,7 +311,7 @@ def test_pos_neg_parts_examples():
 
 
 def test_pos_neg_parts_psd_input(rng):
-    x = random_psd(rng, 3)
+    x = random_effect(rng, 3)
     plus, minus = pos_neg_parts(x)
     np.testing.assert_allclose(plus, x, atol=1e-9)
     np.testing.assert_allclose(minus, np.zeros((3, 3)), atol=1e-9)
