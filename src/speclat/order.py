@@ -4,12 +4,14 @@ x precedes y when E^y_l <= E^x_l for every l, where E^x is the spectral
 family of x. Order tests read the clustered eigensystems directly: each
 spectral projection is a prefix span of an eigenbasis, so one product of
 the two bases decides the comparison at every merged breakpoint. Suprema
-are pointwise projection meets at the merged breakpoints, found inside the
-first operand's eigenbasis by split_range, the singular-value rule of the
-projection lattice; no n x n projection is formed. Like spec_leq, that
-rule measures sines against eps_proj, so x <= x v y and De Morgan's laws
-hold for nearly aligned operands. Since x -> -x reverses the order, infima
-are the negated suprema of the negations.
+are pointwise projection meets at the merged breakpoints, built from the
+top breakpoint down: each step splits what is left of the meet against the
+eigenvectors that enter its complement there, by split_range, the
+singular-value rule of the projection lattice; no n x n projection is
+formed. Like spec_leq, that rule measures sines against eps_proj, so
+x <= x v y and De Morgan's laws hold for nearly aligned operands. Since
+x -> -x reverses the order, infima are the negated suprema of the
+negations.
 """
 
 from __future__ import annotations
@@ -137,49 +139,44 @@ def _validated(xs, cone: str, tol: ToleranceConfig, negate: bool = False) -> lis
 
 
 def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
-    """spec_join from the operands' validated eigensystems.
+    """spec_join from the operands' validated eigensystems, built from the
+    top breakpoint down.
 
-    E^join_l is the meet of the E^m_l, so it lies in the first operand's
-    E_l, the span of its first a eigenvectors V[:, :a]. A vector V[:, :a] c
-    lies in another operand's E_l, the span of its first b eigenvectors
-    V_k[:, :b], exactly when C_k[:a, b:]* c = 0, where C_k = V* V_k. So
-    split_range of W* [C_k[:a, b_k:]], for an orthonormal basis W of the
-    first operand's E_l minus the directions found at earlier breakpoints,
-    gives the directions new at l (the complement), which carry l as their
-    eigenvalue, and the next W (the range). At the last breakpoint every
-    E_l is the identity: the matrix has no columns, so all of W is new.
+    E^join_l is the meet of the E^m_l, so its complement is F_l, the span of
+    every operand's eigenvectors above l, and F_l only grows as l falls. h
+    holds an orthonormal basis of E^join_l in the first operand's
+    eigenvector coordinates, where the first operand's j-th eigenvector is
+    the j-th coordinate vector and another's are the columns of V* V_m.
+    Stepping below a breakpoint l, only the eigenvectors that enter F there
+    are new: split_range of h* B, for B those eigenvectors, gives the
+    directions of h they reach, which leave E^join and carry l, and the
+    directions that stay, the next h. Below the lowest breakpoint the first
+    operand's eigenvectors span everything, so what is left of h carries
+    that breakpoint with no split.
     """
     first = systems[0]
     n = first.n
-    # a single operand is joined with itself
-    others = systems[1:] or systems
-    cross = [first.vectors.conj().T @ es.vectors for es in others]
+    # every operand's eigenvectors in the first operand's eigenbasis
+    bases = [np.eye(n)] + [first.vectors.conj().T @ es.vectors for es in systems[1:]]
     reps = merged_breakpoints(systems, tol)
-    tops = first.columns_at(reps)
-    counts = [es.columns_at(reps) for es in others]
-    # in first.vectors coordinates, f holds the join's directions found so far
-    # (carrying values[:found]), then W, then the coordinate vectors beyond a
+    counts = [es.columns_at(reps) for es in systems]
+    # f[:, :k] is h; f[:, k:] holds the directions that left it, carrying
+    # values[k:]
     f = np.eye(n, dtype=np.complex128)
     values = np.empty(n)
-    found = 0
-    for i, lam in enumerate(reps):
-        a = tops[i]
-        r = a - found
-        if r == 0:
-            continue
-        w = f[:a, found:a]
-        outside = [c[:a, b[i] :] for c, b in zip(cross, counts)]
-        m = w.conj().T @ (outside[0] if len(outside) == 1 else np.hstack(outside))
-        # the split gains at least r - m.shape[1] directions; when that bound
-        # is 0, the singular values alone tell whether it gains any
-        if m.shape[1] >= r:
-            if np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tol.eps_proj) == r:
-                continue
-        rest, fresh = split_range(m, tol)
-        new = found + fresh.shape[1]
-        f[:a, found:new], f[:a, new:a] = w @ fresh, w @ rest
-        values[found:new] = lam
-        found = new
+    k = n
+    for i in range(len(reps) - 1, 0, -1):
+        if k == 0:
+            # every direction has its eigenvalue
+            break
+        h = f[:, :k]
+        entering = np.hstack([c[:, b[i - 1] : b[i]] for c, b in zip(bases, counts)])
+        reach, stay = split_range(h.conj().T @ entering, tol)
+        new = stay.shape[1]
+        f[:, :new], f[:, new:k] = h @ stay, h @ reach
+        values[new:k] = reps[i]
+        k = new
+    values[:k] = reps[0]
     return spectral_sum(first.vectors @ f, values)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from speclat import order
 from speclat.errors import ConeError, DimensionMismatchError, InvalidFamilyError, NonFiniteError
 from speclat.family import SpectralFamily, element_of, family_of, merged_breakpoints
 from speclat.linalg import eigh, is_psd
@@ -152,6 +153,51 @@ def test_join_and_meet_match_projection_definition(rng):
                     assert max_abs(spec_meet(xs, cone) - expected) <= 1e-12
 
 
+def test_join_and_meet_match_projection_definition_at_wide_sizes(rng):
+    """The same check at the sizes of the wide benchmark: a generic pair, a
+    tied pair and a three-operand list."""
+    grid = np.array(TIE_GRID["sa"])
+    for n in (48, 64):
+        x, y = random_hermitian(rng, n), random_hermitian(rng, n)
+        tied = [random_with_spectrum(rng, grid[rng.integers(0, len(grid), n)]) for _ in range(2)]
+        for xs in ([x, y], tied, [x, y, tied[0]]):
+            assert max_abs(spec_join(xs) - _join_by_definition(xs)) <= 1e-12
+            expected = 0.0 - _join_by_definition([-m for m in xs])
+            assert max_abs(spec_meet(xs) - expected) <= 1e-12
+
+
+def test_join_splits_only_the_entering_eigenvectors(rng, monkeypatch):
+    """Going down, each merged breakpoint costs one split of the join's
+    remaining directions against the eigenvectors that enter the complement
+    there, and no singular-value pre-check. On a generic pair one
+    eigenvector enters at each of the 2n breakpoints and each split takes
+    one direction, so the join is complete after n splits."""
+    n = 32
+    x, y = random_hermitian(rng, n), random_hermitian(rng, n)
+    systems = [eigh(x), eigh(y)]
+    reps = merged_breakpoints(systems)
+    counts = sum(np.diff(es.columns_at(reps)) for es in systems)
+    widths, values_only = [], []
+    split_range, svd = order.split_range, np.linalg.svd
+
+    def recording_split(a, tol):
+        widths.append(a.shape[1])
+        return split_range(a, tol)
+
+    def recording_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv") is False or args[1:2] == (False,):
+            values_only.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(order, "split_range", recording_split)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    spec_join([x, y])
+    assert len(reps) == 2 * n
+    assert widths == counts[::-1][: len(widths)].tolist()
+    assert widths == [1] * n
+    assert values_only == []
+
+
 def test_join_reaches_identity_at_last_breakpoint(rng):
     """Every family is the identity at the last merged breakpoint, so the
     join's remaining directions take it there, even under a rank threshold
@@ -172,7 +218,7 @@ def _near_rotation(rng, n, eps):
     return (v * np.exp(1j * eps * w)) @ v.conj().T
 
 
-@pytest.mark.parametrize("eps", [1e-8, 1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("eps", [1e-10, 5e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5])
 def test_join_and_meet_bound_nearly_aligned_operands(rng, eps):
     """y = u x u* with u within eps of the identity: the eigenbases of x and
     y differ by a rotation of order eps, and the join and meet still bound
