@@ -12,8 +12,6 @@ from .errors import DimensionMismatchError, SpeclatError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian
 
-_PHASE_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class EigenSystem:
@@ -25,9 +23,10 @@ class EigenSystem:
     values : ndarray, shape (n,)
         Eigenvalues in ascending order.
     vectors : ndarray, shape (n, n)
-        Orthonormal eigenvector columns. The first entry of each column with
-        modulus above 1e-12 is positive real, and the columns of one cluster
-        are ordered by the row of that entry.
+        Orthonormal eigenvector columns, as LAPACK returns them. Readers use
+        cluster spans, |V* W| or V diag(l) V*, never a column's phase or the
+        basis inside a cluster; only FactorCanonicalRecovery's T keeps one
+        column's phase.
     offsets : ndarray of int, shape (m,)
         Column count up to and including each cluster, from cluster_ends
         with width eps_eig: vectors[:, :offsets[i]] spans the spectral
@@ -94,11 +93,11 @@ def spectral_sum(vectors: np.ndarray, values) -> np.ndarray:
 
 
 def eigh(x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> EigenSystem:
-    """Eigendecomposition with deterministic ordering and clustering.
+    """Eigendecomposition with clustering: LAPACK's ascending eigenvalues
+    and eigenbasis, plus the cluster offsets at width eps_eig.
 
-    Eigenvalues come out ascending; within a cluster the columns are
-    phase-normalized and stably ordered by the index of their first
-    supported component, so identical inputs give identical outputs.
+    Only the cluster spans of the basis are meaningful; identical inputs
+    give identical outputs because LAPACK is deterministic.
 
     x passes through check_hermitian first, with name in its error
     messages.
@@ -113,29 +112,7 @@ def _eigh_hermitian(h: np.ndarray, tol: ToleranceConfig) -> EigenSystem:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise SpeclatError(f"eigensolver did not converge: {exc}") from None
-    ends = cluster_ends(values, tol.eps_eig)
-    # each column's phase is set by its first entry of modulus above
-    # _PHASE_FLOOR, which is row 0 for almost every eigenbasis, so the moduli
-    # of row 0 alone usually decide it; hypot rounds like abs() of a complex
-    # scalar, while np.abs differs in the last bit
-    top = vectors[0]
-    mag = np.hypot(top.real, top.imag)
-    if (mag > _PHASE_FLOOR).all():
-        phase = top.conj() / mag
-    else:
-        # a unit column has an entry of modulus at least n^-1/2, so every
-        # column has a supported entry
-        mag = np.hypot(vectors.real, vectors.imag)
-        lead = np.argmax(mag > _PHASE_FLOOR, axis=0)
-        cols = np.arange(len(values))
-        phase = vectors[lead, cols].conj() / mag[lead, cols]
-    vectors = vectors * phase
-    if len(ends) == len(values):
-        # no ties, so nothing to reorder
-        return EigenSystem(values, vectors, ends)
-    first = np.argmax(np.abs(vectors) > _PHASE_FLOOR, axis=0)
-    order = np.lexsort((first, np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))))
-    return EigenSystem(values[order], vectors[:, order], ends)
+    return EigenSystem(values, vectors, cluster_ends(values, tol.eps_eig))
 
 
 def split_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -255,9 +255,7 @@ def _rank_one_part(es: EigenSystem, cone: str, tol: ToleranceConfig):
     if len(significant) != 1:
         return None
     i = int(significant[0])
-    v = es.vectors[:, i]
-    e = np.outer(v, v.conj())
-    return float(es.values[i]), (e + e.conj().T) / 2.0
+    return float(es.values[i]), spectral_sum(es.vectors[:, [i]], 1.0)
 
 
 def is_central(z, profile, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -116,9 +116,7 @@ def reassembly_residuals(
 
 
 def _unit_projection(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    p = np.outer(v, v.conj())
-    return (p + p.conj().T) / 2.0
+    return spectral_sum((v / np.linalg.norm(v))[:, None], 1.0)
 
 
 class FactorCanonicalRecovery(BaseRecovery):
@@ -151,6 +149,7 @@ class FactorCanonicalRecovery(BaseRecovery):
     ----------------------
     scale_function_ : MonotoneBijection
     projection_map_ : ProjectionIsomorphism
+        T is fixed only up to a global unit scalar (an eigenvector's phase).
     canonical_ : FactorCanonicalIso
     max_residual_ : float
     """

@@ -6,7 +6,7 @@ import pytest
 from speclat.cli import main
 from speclat.directsum import BlockProfile, DirectSumElement
 from speclat.io import emit_element, emit_iso
-from speclat.sampling import random_direct_sum_iso, rng_from
+from speclat.sampling import random_direct_sum_iso, random_with_spectrum, rng_from
 from speclat.selftest import motivating_iso
 
 
@@ -208,14 +208,42 @@ def test_verify_iso_jordan_passes(workdir, capsys):
     assert report["verdicts"] and all(v["pass"] for v in report["verdicts"])
 
 
-def test_json_reports_are_deterministic(workdir, capsys):
+def _tied_documents(workdir):
+    """Tied elements in a random basis (spectra with repeats, so the basis
+    inside each eigenspace is LAPACK's choice), a scaled rank-one projection
+    and a shear iso, over the profile (2, 3) on the effect cone."""
+    rng = rng_from(14)
+    profile = BlockProfile((2, 3))
+
+    def tied(*spectra):
+        blocks = [random_with_spectrum(rng, w) for w in spectra]
+        return DirectSumElement(profile, blocks)
+
+    emit_element(tied([0.5, 0.5], [0.25, 0.25, 0.75]), "eff", workdir / "x.json")
+    emit_element(tied([0.125, 0.875], [0.5, 0.5, 0.5 + 1e-10]), "eff", workdir / "y.json")
+    emit_element(tied([0.0, 0.0], [0.0, 0.0, 0.625]), "eff", workdir / "atom.json")
+    iso = random_direct_sum_iso(rng, profile, "eff", tau_kinds=("shear",))
+    emit_iso(iso, workdir / "iso.json")
     emit_iso(motivating_iso(), workdir / "cube.json")
-    argv = ["decompose", str(workdir / "cube.json"), "--seed", "9", "--json"]
-    assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert main(argv) == 0
-    second = capsys.readouterr().out
-    assert first == second
+
+
+def test_json_reports_are_deterministic(workdir, capsys):
+    _tied_documents(workdir)
+    commands = [
+        ["decompose", "cube.json", "--seed", "9"],
+        ["family", "x.json"],
+        ["join", "x.json", "y.json"],
+        ["meet", "x.json", "y.json"],
+        ["atoms", "atom.json"],
+        ["apply-iso", "iso.json", "x.json"],
+    ]
+    for command in commands:
+        argv = [str(workdir / a) if a.endswith(".json") else a for a in command] + ["--json"]
+        assert main(argv) == 0, command
+        first = capsys.readouterr().out
+        assert json.loads(first)
+        assert main(argv) == 0, command
+        assert capsys.readouterr().out == first
 
 
 def test_seed_from_environment(workdir, capsys, monkeypatch):

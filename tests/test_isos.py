@@ -274,11 +274,13 @@ def test_scalar_shortcut_refuses_what_the_eigensystem_path_refuses():
 
 
 def test_cone_is_read_from_the_extreme_eigenvalues():
-    """Within a cluster eigh orders columns by support, so the first column
-    of diag(5e-10, -2e-9, 1) carries 5e-10; the cone check must still see
-    the eigenvalue -2e-9."""
+    """5e-10 and -2e-9 in diag(5e-10, -2e-9, 1) fall in one cluster, whose
+    breakpoint -7.5e-10 lies inside the cone's band and whose columns are
+    whatever basis LAPACK picks; the cone check must read the smallest
+    eigenvalue, -2e-9, not the breakpoint or a column's place."""
     x = np.diag([5e-10, -2e-9, 1.0]).astype(complex)
-    assert eigh(x).values[0] == 5e-10
+    es = eigh(x)
+    assert es.offsets.tolist() == [2, 3] and es.values[0] == -2e-9 and es.breakpoints[0] > -1e-9
     iso = FactorCanonicalIso(MonotoneBijection.identity(), ProjectionIsomorphism.identity(3), "pos")
     with pytest.raises(ConeError, match="-2.000e-09 < 0"):
         iso.apply(x)

@@ -27,6 +27,7 @@ from speclat.sampling import (
     random_unitary,
     rng_from,
 )
+from speclat.tolerances import DEFAULT_TOL
 from speclat.validation import max_abs
 
 
@@ -180,6 +181,36 @@ def test_decompose_sa_with_shift(rng):
     dec = DirectSumIsoDecomposer(random_state=4).fit(oracle)
     assert dec.permutation_ == iso.pi
     assert max(max_abs(a - b) for a, b in zip(dec.shift_.blocks, shift.blocks)) <= 1e-8
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 3)])
+@pytest.mark.parametrize("cone", ["sa", "pos", "eff"])
+def test_block_oracles_invert_their_forward(rng, cone, dims):
+    """Each restricted block oracle's inverse undoes its forward on that
+    block, on sa through a central shift that both directions must remove
+    and add back."""
+    profile = BlockProfile(dims)
+    iso = random_direct_sum_iso(rng, profile, cone, fix_zero=(cone == "sa"))
+    cod = iso.codomain_profile
+    base = OrderIsoOracle.from_iso(iso)
+    oracle = base
+    if cone == "sa":
+        shift = DirectSumElement(cod, [(k - 0.5) * np.eye(d) for k, d in enumerate(cod.dims)])
+        oracle = OrderIsoOracle(
+            profile, cod, "sa",
+            forward=lambda x: base.forward(x) + shift,
+            inverse=lambda y: base.inverse(y - shift),
+        )
+    dec = DirectSumIsoDecomposer(n_verify=3, random_state=5).fit(oracle)
+    assert dec.permutation_ == iso.pi
+    worst = 0.0
+    for j, d in enumerate(dims):
+        block = dec.block_oracles_[j]
+        for _ in range(10):
+            x = random_ds_element(rng, BlockProfile((d,)), cone)
+            back = block.inverse(block.forward(x))
+            worst = max(worst, max_abs(back.blocks[0] - x.blocks[0]))
+    assert worst <= DEFAULT_TOL.eps_recon
 
 
 def test_decompose_rejects_noncentral_zero_image():
