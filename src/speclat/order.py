@@ -8,10 +8,12 @@ are pointwise projection meets at the merged breakpoints, built from the
 top breakpoint down: each step splits what is left of the meet against the
 eigenvectors that enter its complement there, by split_range, the
 singular-value rule of the projection lattice; no n x n projection is
-formed. Like spec_leq, that rule measures sines against eps_proj, so
-x <= x v y and De Morgan's laws hold for nearly aligned operands. Since
-x -> -x reverses the order, infima are the negated suprema of the
-negations.
+formed. Where one eigenvector enters at each of several steps in a row, as
+on generic operands, that rule reads |R_tt| of one QR of the run, so one
+factorization decides the whole run. Like spec_leq, that rule measures
+sines against eps_proj, so x <= x v y and De Morgan's laws hold for nearly
+aligned operands. Since x -> -x reverses the order, infima are the negated
+suprema of the negations.
 """
 
 from __future__ import annotations
@@ -153,29 +155,67 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
     directions that stay, the next h. Below the lowest breakpoint the first
     operand's eigenvectors span everything, so what is left of h carries
     that breakpoint with no split.
+
+    Where a single eigenvector b enters, the one singular value of h* b is
+    the residual of b against the directions already taken, so a run of
+    such steps is a Gram-Schmidt sequence, and one Householder QR of
+    h* [b_1 ... b_w] decides it: the t-th step takes the direction
+    (h Q)[:, t] exactly when |R_tt| > eps_proj, split_range's sine rule,
+    and h Q[:, t:] is the next h. A run stops at its first refused column,
+    whose direction stays in h. Runs start as long as the one-column steps
+    in a row and the directions left allow; after a refusal they restart
+    at one step and double while none refuses, so where most steps take
+    nothing, as in the meet of x and x v z, no large QR is redone. Steps
+    where several eigenvectors enter (ties, commuting operands, x v x) and
+    runs of one step, where numpy's SVD of a column costs less than its QR,
+    go through split_range.
     """
     first = systems[0]
     n = first.n
-    # every operand's eigenvectors in the first operand's eigenbasis
-    bases = [np.eye(n)] + [first.vectors.conj().T @ es.vectors for es in systems[1:]]
     reps = merged_breakpoints(systems, tol)
-    counts = [es.columns_at(reps) for es in systems]
+    # an eigenvector enters F below the first merged breakpoint at or above
+    # its own; columns holds every operand's eigenvectors in the first
+    # operand's eigenbasis, in the order they enter, operand by operand
+    # within a step, so each step's B is the next widths[i] columns
+    steps = np.searchsorted(reps, np.concatenate([es.column_breakpoints for es in systems]))
+    bases = [np.eye(n)] + [first.vectors.conj().T @ es.vectors for es in systems[1:]]
+    columns = np.concatenate(bases, axis=1)[:, np.argsort(-steps, kind="stable")]
+    widths = np.bincount(steps, minlength=len(reps)).tolist()
     # f[:, :k] is h; f[:, k:] holds the directions that left it, carrying
     # values[k:]
     f = np.eye(n, dtype=np.complex128)
     values = np.empty(n)
-    k = n
-    for i in range(len(reps) - 1, 0, -1):
-        if k == 0:
-            # every direction has its eigenvalue
-            break
+    k, i, pos, run = n, len(reps) - 1, 0, n
+    # below reps[i], while some direction of h has no eigenvalue yet
+    while i > 0 and k > 0:
         h = f[:, :k]
-        entering = np.hstack([c[:, b[i - 1] : b[i]] for c, b in zip(bases, counts)])
-        reach, stay = split_range(h.conj().T @ entering, tol)
-        new = stay.shape[1]
-        f[:, :new], f[:, new:k] = h @ stay, h @ reach
-        values[new:k] = reps[i]
-        k = new
+        w = 1
+        while widths[i] == 1 and w < min(k, run) and i - w > 0 and widths[i - w] == 1:
+            w += 1
+        if w == 1:
+            width = widths[i]
+            reach, stay = split_range(h.conj().T @ columns[:, pos : pos + width], tol)
+            new = stay.shape[1]
+            f[:, :new], f[:, new:k] = h @ stay, h @ reach
+            values[new:k] = reps[i]
+            if width == 1:
+                run = 1 if new == k else 2 * run
+            k, i, pos = new, i - 1, pos + width
+            continue
+        # steps i, i - 1, ..., i - w + 1, one entering column each
+        q, r = np.linalg.qr(h.conj().T @ columns[:, pos : pos + w], mode="complete")
+        taken = np.abs(np.diagonal(r)) > tol.eps_proj
+        t = w if taken.all() else int(taken.argmin())
+        if t:
+            g = h @ q
+            f[:, : k - t], f[:, k - t : k] = g[:, t:], g[:, :t]
+            values[k - t : k] = reps[i - t + 1 : i + 1][::-1]
+            k -= t
+        if t < w:
+            # step i - t takes nothing; its column's direction stays in h
+            i, pos, run = i - t - 1, pos + t + 1, 1
+        else:
+            i, pos, run = i - w, pos + w, 2 * run
     values[:k] = reps[0]
     return spectral_sum(first.vectors @ f, values)
 
@@ -183,7 +223,8 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
 def spec_join(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Supremum in the spectral order: the element whose family is the
     pointwise projection meet of the input families, computed in the first
-    operand's eigenbasis with the split_range rule of proj_meet."""
+    operand's eigenbasis with the sine rule of proj_meet (split_range, or
+    |R_tt| of one QR over a run of one-column steps)."""
     return _join(_validated(xs, cone, tol), tol)
 
 

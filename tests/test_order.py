@@ -4,7 +4,7 @@ import pytest
 from speclat import order
 from speclat.errors import ConeError, DimensionMismatchError, InvalidFamilyError, NonFiniteError
 from speclat.family import SpectralFamily, element_of, family_of, merged_breakpoints
-from speclat.linalg import eigh, is_psd
+from speclat.linalg import eigh, is_psd, spectral_sum
 from speclat.monotone import MonotoneBijection
 from speclat.order import (
     apply_monotone,
@@ -155,30 +155,31 @@ def test_join_and_meet_match_projection_definition(rng):
 
 def test_join_and_meet_match_projection_definition_at_wide_sizes(rng):
     """The same check at the sizes of the wide benchmark: a generic pair, a
-    tied pair and a three-operand list."""
+    tied pair, a three-operand list, a comparable pair x, x v y (its meet
+    refuses one-column steps inside long runs) and three generic
+    operands."""
     grid = np.array(TIE_GRID["sa"])
     for n in (48, 64):
         x, y = random_hermitian(rng, n), random_hermitian(rng, n)
         tied = [random_with_spectrum(rng, grid[rng.integers(0, len(grid), n)]) for _ in range(2)]
-        for xs in ([x, y], tied, [x, y, tied[0]]):
+        z = random_hermitian(rng, n)
+        for xs in ([x, y], tied, [x, y, tied[0]], [x, spec_join([x, y])], [x, y, z]):
             assert max_abs(spec_join(xs) - _join_by_definition(xs)) <= 1e-12
             expected = 0.0 - _join_by_definition([-m for m in xs])
             assert max_abs(spec_meet(xs) - expected) <= 1e-12
 
 
 def test_join_splits_only_the_entering_eigenvectors(rng, monkeypatch):
-    """Going down, each merged breakpoint costs one split of the join's
-    remaining directions against the eigenvectors that enter the complement
-    there, and no singular-value pre-check. On a generic pair one
-    eigenvector enters at each of the 2n breakpoints and each split takes
-    one direction, so the join is complete after n splits."""
+    """Going down, each step splits the join's remaining directions against
+    the eigenvectors that enter the complement there, and no singular-value
+    pre-check runs. On a generic pair one eigenvector enters at each of the
+    2n breakpoints, and the first n are independent, so one QR of the n x n
+    matrix h* B completes the join, with no split_range. On a commuting
+    tied pair several eigenvectors enter at every breakpoint, and each step
+    is one split_range of exactly those."""
     n = 32
-    x, y = random_hermitian(rng, n), random_hermitian(rng, n)
-    systems = [eigh(x), eigh(y)]
-    reps = merged_breakpoints(systems)
-    counts = sum(np.diff(es.columns_at(reps)) for es in systems)
-    widths, values_only = [], []
-    split_range, svd = order.split_range, np.linalg.svd
+    widths, values_only, qr_shapes = [], [], []
+    split_range, svd, qr = order.split_range, np.linalg.svd, np.linalg.qr
 
     def recording_split(a, tol):
         widths.append(a.shape[1])
@@ -189,12 +190,32 @@ def test_join_splits_only_the_entering_eigenvectors(rng, monkeypatch):
             values_only.append(a.shape)
         return svd(a, *args, **kwargs)
 
+    def recording_qr(a, *args, **kwargs):
+        qr_shapes.append(a.shape)
+        return qr(a, *args, **kwargs)
+
     monkeypatch.setattr(order, "split_range", recording_split)
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    x, y = random_hermitian(rng, n), random_hermitian(rng, n)
     spec_join([x, y])
-    assert len(reps) == 2 * n
-    assert widths == counts[::-1][: len(widths)].tolist()
-    assert widths == [1] * n
+    assert len(merged_breakpoints([eigh(x), eigh(y)])) == 2 * n
+    assert qr_shapes == [(n, n)]
+    assert widths == []
+
+    # both spectra take every grid value, so both operands have
+    # eigenvectors at every merged breakpoint
+    grid = np.array(TIE_GRID["sa"])
+    u = random_unitary(rng, n)
+    x, y = (spectral_sum(u, np.sort(grid[np.r_[0:4, rng.integers(0, 4, n - 4)]])) for _ in range(2))
+    systems = [eigh(x), eigh(y)]
+    reps = merged_breakpoints(systems)
+    counts = sum(np.diff(es.columns_at(reps)) for es in systems)
+    qr_shapes.clear()
+    spec_join([x, y])
+    assert len(reps) == 4 and min(counts) >= 2
+    assert qr_shapes == []
+    assert widths and widths == counts[::-1][: len(widths)].tolist()
     assert values_only == []
 
 
