@@ -45,16 +45,6 @@ class BlockProfile:
     def __len__(self) -> int:
         return len(self.dims)
 
-    def split(self, matrix: np.ndarray) -> list[np.ndarray]:
-        """Diagonal blocks of a total-dimension matrix."""
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.shape != (self.total, self.total):
-            raise DimensionMismatchError(
-                f"matrix of shape {m.shape} does not fit profile {self.dims}"
-            )
-        off = self.offsets
-        return [m[off[j] : off[j + 1], off[j] : off[j + 1]] for j in range(len(self))]
-
 
 class DirectSumElement:
     """A self-adjoint element (x_j) of a direct sum of matrix factors."""
@@ -80,26 +70,14 @@ class DirectSumElement:
     def zero(cls, profile: BlockProfile) -> "DirectSumElement":
         return cls(profile, [np.zeros((d, d)) for d in profile.dims], validate=False)
 
-    @classmethod
-    def from_matrix(cls, profile: BlockProfile, matrix, tol: ToleranceConfig = DEFAULT_TOL):
-        """Split a block-diagonal matrix; off-diagonal mass above eps_proj is
-        rejected."""
-        m = np.asarray(matrix, dtype=np.complex128)
-        blocks = profile.split(m)
-        assembled = _assemble(profile, blocks)
-        if max_abs(m - assembled) > tol.eps_proj:
-            raise DimensionMismatchError("matrix is not block-diagonal for the profile")
-        return cls(profile, blocks, tol)
-
     def assemble(self) -> np.ndarray:
         """The block-diagonal matrix over the total dimension."""
-        return _assemble(self.profile, self.blocks)
-
-    def norm(self) -> float:
-        """Direct-sum norm: the largest block operator norm."""
-        return max(
-            float(np.linalg.norm(b, ord=2)) if b.size else 0.0 for b in self.blocks
-        )
+        n = self.profile.total
+        out = np.zeros((n, n), dtype=np.complex128)
+        off = self.profile.offsets
+        for j, b in enumerate(self.blocks):
+            out[off[j] : off[j + 1], off[j] : off[j + 1]] = b
+        return out
 
     def map_blocks(self, fn) -> "DirectSumElement":
         return DirectSumElement(self.profile, [fn(b) for b in self.blocks])
@@ -126,15 +104,6 @@ class DirectSumElement:
 
     def __repr__(self) -> str:
         return f"DirectSumElement(profile={self.profile.dims})"
-
-
-def _assemble(profile: BlockProfile, blocks) -> np.ndarray:
-    n = profile.total
-    out = np.zeros((n, n), dtype=np.complex128)
-    off = profile.offsets
-    for j, b in enumerate(blocks):
-        out[off[j] : off[j + 1], off[j] : off[j + 1]] = b
-    return out
 
 
 def _check_profiles(a: BlockProfile, b: BlockProfile) -> None:

@@ -125,12 +125,14 @@ def split_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.n
     The complement holds the unit vectors v with |a* v| <= eps_proj. For
     a = [1 - P_1 ... 1 - P_k], |a* v|^2 is the sum of the squared sines of
     the angles between v and the ranges of the P_i, so the rule compares a
-    sine with eps_proj, as the order tests do. Wide matrices are fine.
+    sine with eps_proj, as the order tests do. Wide matrices are fine: when
+    a has at least as many columns as rows, the thin SVD's U is already
+    square, so the full factors are formed only for a tall matrix.
     """
     if a.shape[1] == 0:
         # no range; LAPACK would cost as much here as on a small matrix
         return a, np.eye(a.shape[0], dtype=np.complex128)
-    u, s, _ = np.linalg.svd(a)
+    u, s, _ = np.linalg.svd(a, full_matrices=a.shape[1] < a.shape[0])
     rank = int(np.count_nonzero(s > tol.eps_proj))
     return u[:, :rank], u[:, rank:]
 

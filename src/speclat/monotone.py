@@ -2,9 +2,9 @@
 canonical order isomorphisms.
 
 Two closed-form variants are supported: piecewise-linear maps with affine
-tails (closed under inversion and composition, and dense enough to carry
-any recovered scalar action at grid resolution) and exact power maps
-t -> sign(t) |t|^p (closed under inversion and composition as well).
+tails (dense enough to carry any recovered scalar action at grid
+resolution) and exact power maps t -> sign(t) |t|^p. Each variant is closed
+under inversion only; no composition is offered.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotMonotoneError
-
-_KNOT_MERGE = 1e-14
 
 
 class MonotoneBijection:
@@ -116,24 +114,6 @@ class MonotoneBijection:
             left_slope=1.0 / self.left_slope,
             right_slope=1.0 / self.right_slope,
         )
-
-    def compose(self, inner: "MonotoneBijection") -> "MonotoneBijection":
-        """self after inner; both operands must share one closed-form kind."""
-        if self.kind == "power" and inner.kind == "power":
-            return MonotoneBijection.power(self.exponent * inner.exponent)
-        if self.kind == "pl" and inner.kind == "pl":
-            pulled = inner.inverse()(self.knots)
-            knots = np.sort(np.concatenate([inner.knots, pulled]))
-            keep = np.concatenate([[True], np.diff(knots) > _KNOT_MERGE])
-            knots = knots[keep]
-            return MonotoneBijection(
-                "pl",
-                knots=knots,
-                values=self(inner(knots)),
-                left_slope=self.left_slope * inner.left_slope,
-                right_slope=self.right_slope * inner.right_slope,
-            )
-        raise NotMonotoneError("can only compose bijections of matching kind")
 
     def __repr__(self) -> str:
         if self.kind == "power":

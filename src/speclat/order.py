@@ -161,14 +161,11 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
     such steps is a Gram-Schmidt sequence, and one Householder QR of
     h* [b_1 ... b_w] decides it: the t-th step takes the direction
     (h Q)[:, t] exactly when |R_tt| > eps_proj, split_range's sine rule,
-    and h Q[:, t:] is the next h. A run stops at its first refused column,
-    whose direction stays in h. Runs start as long as the one-column steps
-    in a row and the directions left allow; after a refusal they restart
-    at one step and double while none refuses, so where most steps take
-    nothing, as in the meet of x and x v z, no large QR is redone. Steps
-    where several eigenvectors enter (ties, commuting operands, x v x) and
-    runs of one step, where numpy's SVD of a column costs less than its QR,
-    go through split_range.
+    and h Q[:, t:] is the next h. A run takes every one-column step in a
+    row, up to the k directions left in h, and stops at its first refused
+    column, whose direction stays in h. Steps where several eigenvectors
+    enter (ties, commuting operands, x v x) and runs of one step, where
+    numpy's SVD of a column costs less than its QR, go through split_range.
     """
     first = systems[0]
     n = first.n
@@ -185,12 +182,12 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
     # values[k:]
     f = np.eye(n, dtype=np.complex128)
     values = np.empty(n)
-    k, i, pos, run = n, len(reps) - 1, 0, n
+    k, i, pos = n, len(reps) - 1, 0
     # below reps[i], while some direction of h has no eigenvalue yet
     while i > 0 and k > 0:
         h = f[:, :k]
         w = 1
-        while widths[i] == 1 and w < min(k, run) and i - w > 0 and widths[i - w] == 1:
+        while widths[i] == 1 and w < k and i - w > 0 and widths[i - w] == 1:
             w += 1
         if w == 1:
             width = widths[i]
@@ -198,8 +195,6 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
             new = stay.shape[1]
             f[:, :new], f[:, new:k] = h @ stay, h @ reach
             values[new:k] = reps[i]
-            if width == 1:
-                run = 1 if new == k else 2 * run
             k, i, pos = new, i - 1, pos + width
             continue
         # steps i, i - 1, ..., i - w + 1, one entering column each
@@ -213,9 +208,9 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
             k -= t
         if t < w:
             # step i - t takes nothing; its column's direction stays in h
-            i, pos, run = i - t - 1, pos + t + 1, 1
+            i, pos = i - t - 1, pos + t + 1
         else:
-            i, pos, run = i - w, pos + w, 2 * run
+            i, pos = i - w, pos + w
     values[:k] = reps[0]
     return spectral_sum(first.vectors @ f, values)
 

@@ -12,7 +12,6 @@ DecompositionError instead of being misreported.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,27 +32,6 @@ from .order import EFFECT, SELF_ADJOINT, check_scalar_map, endpoint_deviations
 from .sampling import random_ds_element, random_effect, random_unitary, rng_from
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import max_abs
-
-
-class BaseRecovery:
-    """Minimal estimator base: constructor arguments are parameters,
-    fitted state lives in trailing-underscore attributes."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "BaseRecovery":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
 
 
 def _single_factor_dim(oracle: OrderIsoOracle) -> int:
@@ -119,7 +97,7 @@ def _unit_projection(v: np.ndarray) -> np.ndarray:
     return spectral_sum((v / np.linalg.norm(v))[:, None], 1.0)
 
 
-class FactorCanonicalRecovery(BaseRecovery):
+class FactorCanonicalRecovery:
     """Recover the canonical form x -> Theta_tau(f(x)) of an effect-lattice
     isomorphism of one matrix factor.
 
@@ -234,7 +212,7 @@ class FactorCanonicalRecovery(BaseRecovery):
         return self
 
 
-class DirectSumIsoDecomposer(BaseRecovery):
+class DirectSumIsoDecomposer:
     """Split a direct-sum order isomorphism into a slot permutation, a
     central shift (self-adjoint cone only) and per-factor restricted
     oracles.
@@ -395,17 +373,16 @@ def is_orthoiso(
     trials: int = 500,
     random_state=0,
     tol: ToleranceConfig = DEFAULT_TOL,
-    zero_tol: float | None = None,
 ) -> OrthoCheck:
     """Scan for violations of "xy = 0 iff images multiply to 0".
 
     Zero-product pairs are built on orthogonal supports (inside one factor
     when its dimension allows, across factors otherwise) and pushed through
     the map in both directions; pairs with a clearly nonzero product guard
-    the converse. The first violation is returned as a witness.
+    the converse. A product counts as zero when no entry of any block
+    exceeds 1000 * eps_proj. The first violation is returned as a witness.
     """
-    if zero_tol is None:
-        zero_tol = 1000.0 * tol.eps_proj
+    zero_bound = 1000.0 * tol.eps_proj
     rng = rng_from(random_state)
     flags = ("type-I2",) if 2 in oracle.domain_profile.dims + oracle.codomain_profile.dims else ()
 
@@ -428,7 +405,7 @@ def is_orthoiso(
         for _ in range(20):
             x = random_ds_element(rng, profile, EFFECT)
             y = random_ds_element(rng, profile, EFFECT)
-            if _product_norm(x, y) > 10 * zero_tol:
+            if _product_norm(x, y) > 10 * zero_bound:
                 return x, y
         return None
 
@@ -437,7 +414,7 @@ def is_orthoiso(
         if pair is not None:
             fx, fy = apply(pair[0]), apply(pair[1])
             norm = _product_norm(fx, fy)
-            if norm > zero_tol:
+            if norm > zero_bound:
                 return {
                     "direction": direction,
                     "kind": "zero product not preserved",
@@ -449,7 +426,7 @@ def is_orthoiso(
         if pair is not None:
             fx, fy = apply(pair[0]), apply(pair[1])
             norm = _product_norm(fx, fy)
-            if norm <= zero_tol:
+            if norm <= zero_bound:
                 return {
                     "direction": direction,
                     "kind": "nonzero product collapsed to zero",

@@ -39,22 +39,16 @@ def test_element_shape_and_hermitian_validation():
 
 
 def test_assemble_split_round_trip(rng):
+    """assemble puts each block on the diagonal at profile.offsets and zeros
+    everywhere else."""
     profile = BlockProfile((2, 3))
     x = random_ds_element(rng, profile, "sa")
-    back = DirectSumElement.from_matrix(profile, x.assemble())
-    for a, b in zip(x.blocks, back.blocks):
-        assert max_abs(a - b) == 0.0
-    leaky = x.assemble()
-    leaky[0, 3] = 0.5
-    leaky[3, 0] = 0.5
-    with pytest.raises(DimensionMismatchError):
-        DirectSumElement.from_matrix(profile, leaky)
-
-
-def test_norm_is_max_block_norm():
-    profile = BlockProfile((1, 1))
-    x = DirectSumElement(profile, [np.array([[2.0]]), np.array([[-5.0]])])
-    assert x.norm() == pytest.approx(5.0)
+    m = x.assemble()
+    assert m.shape == (5, 5)
+    off = profile.offsets
+    for j, b in enumerate(x.blocks):
+        assert max_abs(m[off[j] : off[j + 1], off[j] : off[j + 1]] - b) == 0.0
+    assert max_abs(m[:2, 2:]) == 0.0 and max_abs(m[2:, :2]) == 0.0
 
 
 def test_central_atoms_examples():

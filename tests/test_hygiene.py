@@ -1,0 +1,72 @@
+"""Checks on the package's source and documentation rather than its maths:
+the README's library example runs, and the modules carry no dead imports
+or private module-level names that nothing reads."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "speclat"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _loaded(tree: ast.Module) -> set[str]:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Names a module reads: loaded names, attribute names and names it
+    imports from another module."""
+    out = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_readme_library_quick_start_runs():
+    """The README's library example runs as written, so a renamed or
+    deleted public name cannot leave it stale."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    for name, tree in _modules().items():
+        if name == "__init__.py":
+            # the package namespace: its imports are the public API
+            continue
+        loaded = _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    assert bound in loaded, f"{name} imports {bound} and never reads it"
+
+
+def test_every_private_module_level_name_has_a_reader():
+    trees = _modules()
+    reads = set().union(*(_reads(tree) for tree in trees.values()))
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for d in defined:
+                if d.startswith("_") and not d.startswith("__"):
+                    assert d in reads, f"{name} defines {d} and nothing in the package reads it"

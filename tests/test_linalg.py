@@ -92,11 +92,18 @@ def test_orthonormal_range_is_projection(rng):
 
 def test_split_range_of_wide_and_empty_matrices():
     """The split is at singular value eps_proj = 1e-9, and a matrix with no
-    columns has an empty range."""
-    a = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1e-10, 0.0], [0.0, 0.0, 0.0, 2e-9]])
-    inside, outside = split_range(a)
-    assert max_abs(spectral_sum(inside, 1.0) - np.diag([1.0, 0.0, 1.0])) <= 1e-15
-    assert max_abs(spectral_sum(outside, 1.0) - np.diag([0.0, 1.0, 0.0])) <= 1e-15
+    columns has an empty range. On wide, square and tall inputs the range
+    and its complement together span C^n."""
+    wide = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1e-10, 0.0], [0.0, 0.0, 0.0, 2e-9]])
+    square = np.diag([1.0, 1e-10, 2e-9])
+    tall = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2e-9]])
+    for a in (wide, square, tall):
+        inside, outside = split_range(a)
+        assert max_abs(spectral_sum(inside, 1.0) - np.diag([1.0, 0.0, 1.0])) <= 1e-15
+        assert max_abs(spectral_sum(outside, 1.0) - np.diag([0.0, 1.0, 0.0])) <= 1e-15
+        both = np.hstack([inside, outside])
+        assert both.shape == (3, 3)
+        assert max_abs(both.conj().T @ both - np.eye(3)) <= 1e-15
     inside, outside = split_range(np.zeros((3, 0)))
     assert inside.shape == (3, 0)
     assert max_abs(spectral_sum(outside, 1.0) - np.eye(3)) <= 1e-15

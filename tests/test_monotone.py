@@ -37,26 +37,6 @@ def test_piecewise_linear_inverse_round_trip(rng):
         np.testing.assert_allclose(inv(f(ts)), ts, atol=1e-10)
 
 
-def test_compose_piecewise_linear(rng):
-    f = random_monotone_bijection(rng, "sa")
-    g = random_monotone_bijection(rng, "sa")
-    h = g.compose(f)
-    ts = rng.uniform(-4.0, 4.0, 100)
-    np.testing.assert_allclose(h(ts), g(f(ts)), atol=1e-9)
-
-
-def test_compose_powers():
-    h = MonotoneBijection.power(3.0).compose(MonotoneBijection.power(0.5))
-    assert h.exponent == pytest.approx(1.5)
-
-
-def test_compose_mixed_kinds_rejected():
-    f = MonotoneBijection.power(2.0)
-    g = MonotoneBijection.piecewise_linear([0.0, 1.0], [0.0, 1.0])
-    with pytest.raises(NotMonotoneError):
-        f.compose(g)
-
-
 def test_strictness_validation():
     with pytest.raises(NotMonotoneError):
         MonotoneBijection.piecewise_linear([0.0, 1.0], [1.0, 1.0])
