@@ -32,7 +32,6 @@ from .isos import (
     JordanIso,
     OrderIsoOracle,
     ProjectionIsomorphism,
-    theta_apply,
 )
 from .linalg import EigenSystem, eigh, is_psd, orthonormal_range
 from .monotone import MonotoneBijection
@@ -41,11 +40,8 @@ from .order import (
     EFFECT,
     POSITIVE,
     SELF_ADJOINT,
-    apply_monotone,
-    atom_scalar_decompose,
     check_cone,
     distributive_check,
-    is_central,
     pos_neg_parts,
     spec_join,
     spec_leq,

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConeError, DimensionMismatchError
 from .family import SpectralFamily, family_of
-from .order import _cone_eigh, _rank_one_part, pos_neg_parts, spec_join, spec_leq, spec_meet
+from .linalg import spectral_sum
+from .order import EFFECT, POSITIVE, _cone_eigh, pos_neg_parts, spec_join, spec_leq, spec_meet
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, max_abs
 
@@ -193,7 +194,9 @@ def ds_atom_scalar_decompose(
     Atoms of a direct sum live in a single factor, so this succeeds exactly
     when one block is a positive scalar multiple of a rank-one projection
     and every other block vanishes. Returns (alpha, block index, e) or None.
-    Each block is validated and decomposed once, and its cone membership is
+    It is defined on the cones 'pos' and 'eff', where the scalar multiples
+    of atoms are exactly the elements below which the order is total. Each
+    block is validated and decomposed once, and its cone membership is
     read from that eigensystem.
     """
     systems = [_cone_eigh(b, cone, tol, f"blocks[{j}]") for j, b in enumerate(x.blocks)]
@@ -202,9 +205,12 @@ def ds_atom_scalar_decompose(
         raise ConeError("x = 0 admits no atomic decomposition")
     if len(supported) != 1:
         return None
+    if cone not in (POSITIVE, EFFECT):
+        raise ConeError("atom decomposition is defined on cones 'pos' and 'eff'")
     j = supported[0]
-    found = _rank_one_part(systems[j], cone, tol)
-    if found is None:
+    es = systems[j]
+    significant = np.nonzero(es.values > tol.eps_proj)[0]
+    if len(significant) != 1:
         return None
-    alpha, e = found
-    return alpha, j, e
+    i = int(significant[0])
+    return float(es.values[i]), j, spectral_sum(es.vectors[:, [i]], 1.0)

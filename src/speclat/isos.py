@@ -4,14 +4,15 @@ isomorphisms, and blockwise direct-sum isomorphisms with a permutation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement, _check_profiles
-from .errors import DimensionMismatchError, SpeclatError
-from .linalg import EigenSystem, _eigh_hermitian, eigh, orthonormal_range, spectral_sum, split_range
+from .errors import DimensionMismatchError, InvalidFamilyError, SpeclatError
+from .linalg import EigenSystem, _eigh_hermitian, orthonormal_range, spectral_sum, split_range
 from .monotone import MonotoneBijection
 from .order import SELF_ADJOINT, _check_cone_name, _check_spectrum, check_scalar_map, endpoint_deviations
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -97,36 +98,21 @@ class JordanIso:
         return ProjectionIsomorphism(self.u, antilinear=self.transpose)
 
 
-def _check_tau_dim(tau: ProjectionIsomorphism, n: int) -> None:
-    if tau.n != n:
-        raise DimensionMismatchError(f"tau acts on dimension {tau.n}, element has {n}")
-
-
-def _transported_spectrum(tau: ProjectionIsomorphism, es: EigenSystem, f) -> np.ndarray:
-    """Core of Theta_tau (optionally after a scalar map f), from the
-    clustered eigensystem of a validated element.
+def _transported_spectrum(tau: ProjectionIsomorphism, es: EigenSystem, values) -> np.ndarray:
+    """Core of Theta_tau, from the clustered eigensystem of a validated
+    element and the values its columns carry (f of their breakpoints).
 
     The cumulative ranges of x are the prefix spans of its eigenbasis V, so
     their images under tau are the prefix spans of T V (coordinates
     conjugated first when antilinear). One unpivoted QR orthonormalizes all
-    prefixes at once, and the transported element is Q diag(f(l)) Q* with
-    each eigenvalue replaced by its cluster breakpoint. A scalar element
-    c * 1 needs none of this: tau(1) = 1, so it maps to f(c) * 1 exactly,
-    which FactorCanonicalIso.apply returns without calling here.
+    prefixes at once, and the transported element is Q diag(values) Q*. A
+    scalar element c * 1 needs none of this: tau(1) = 1, so it maps to
+    f(c) * 1 exactly, which FactorCanonicalIso.apply returns without
+    calling here.
     """
-    _check_tau_dim(tau, es.n)
-    vals = es.column_breakpoints
-    if f is not None:
-        vals = f(vals)
     basis = es.vectors.conj() if tau.antilinear else es.vectors
     q, _ = np.linalg.qr(tau.T @ basis)
-    return spectral_sum(q, vals)
-
-
-def theta_apply(tau: ProjectionIsomorphism, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Transport the spectral family of x through tau: the result has the
-    same breakpoints and cumulative projections tau(E^x_l)."""
-    return _transported_spectrum(tau, eigh(x, tol), None)
+    return spectral_sum(q, values)
 
 
 @dataclass(frozen=True)
@@ -167,7 +153,8 @@ class FactorCanonicalIso:
         (1, 0) and (1, 1) turn most other elements away before the whole
         matrix is compared, and a 1 x 1 element is always scalar. Any other
         element is decomposed once, and its cone membership is read from
-        that eigensystem before the spectrum is transported.
+        that eigensystem before the spectrum is transported. Values that f
+        sends out of the floats (t^5 at 1e100) are refused on both paths.
         """
         _check_cone_name(self.cone)
         h = check_hermitian(x, tol, "element")
@@ -178,12 +165,19 @@ class FactorCanonicalIso:
         es = None if scalar else _eigh_hermitian(h, tol)
         _check_spectrum(h.diagonal().real if scalar else es.values, self.cone, tol, "element")
         check_scalar_map(self._endpoint_deviations, self.cone, tol)
+        if self.tau.n != n:
+            raise DimensionMismatchError(f"tau acts on dimension {self.tau.n}, element has {n}")
+        values = self.f(c) if scalar else self.f(es.column_breakpoints)
+        # f increases and the breakpoints ascend, so the end values are the
+        # extremes
+        lo, hi = (values, values) if scalar else (values[0], values[-1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InvalidFamilyError("breakpoints must be finite")
         if scalar:
-            _check_tau_dim(self.tau, n)
             out = np.zeros((n, n), dtype=np.complex128)
-            out.flat[:: n + 1] = self.f(c)
+            out.flat[:: n + 1] = values
             return out
-        return _transported_spectrum(self.tau, es, self.f)
+        return _transported_spectrum(self.tau, es, values)
 
     def inverse(self) -> "FactorCanonicalIso":
         return FactorCanonicalIso(

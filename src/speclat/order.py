@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConeError, DimensionMismatchError, InvalidFamilyError
+from .errors import ConeError, DimensionMismatchError
 from .family import merged_breakpoints
-from .linalg import EigenSystem, _eigh_hermitian, eigh, spectral_sum, split_range
+from .linalg import EigenSystem, eigh, spectral_sum, split_range
 from .monotone import MonotoneBijection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, check_same_dim, max_abs
@@ -146,15 +146,13 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
 
     E^join_l is the meet of the E^m_l, so its complement is F_l, the span of
     every operand's eigenvectors above l, and F_l only grows as l falls. h
-    holds an orthonormal basis of E^join_l in the first operand's
-    eigenvector coordinates, where the first operand's j-th eigenvector is
-    the j-th coordinate vector and another's are the columns of V* V_m.
-    Stepping below a breakpoint l, only the eigenvectors that enter F there
-    are new: split_range of h* B, for B those eigenvectors, gives the
-    directions of h they reach, which leave E^join and carry l, and the
-    directions that stay, the next h. Below the lowest breakpoint the first
-    operand's eigenvectors span everything, so what is left of h carries
-    that breakpoint with no split.
+    holds an orthonormal basis of E^join_l, starting from the identity above
+    the top breakpoint. Stepping below a breakpoint l, only the eigenvectors
+    that enter F there are new: split_range of h* B, for B those
+    eigenvectors, gives the directions of h they reach, which leave E^join
+    and carry l, and the directions that stay, the next h. Below the lowest
+    breakpoint each operand's eigenvectors span everything, so what is left
+    of h carries that breakpoint with no split.
 
     Where a single eigenvector b enters, the one singular value of h* b is
     the residual of b against the directions already taken, so a run of
@@ -167,16 +165,14 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
     enter (ties, commuting operands, x v x) and runs of one step, where
     numpy's SVD of a column costs less than its QR, go through split_range.
     """
-    first = systems[0]
-    n = first.n
+    n = systems[0].n
     reps = merged_breakpoints(systems, tol)
     # an eigenvector enters F below the first merged breakpoint at or above
-    # its own; columns holds every operand's eigenvectors in the first
-    # operand's eigenbasis, in the order they enter, operand by operand
-    # within a step, so each step's B is the next widths[i] columns
+    # its own; columns holds every operand's eigenvectors in the order they
+    # enter, operand by operand within a step, so each step's B is the next
+    # widths[i] columns
     steps = np.searchsorted(reps, np.concatenate([es.column_breakpoints for es in systems]))
-    bases = [np.eye(n)] + [first.vectors.conj().T @ es.vectors for es in systems[1:]]
-    columns = np.concatenate(bases, axis=1)[:, np.argsort(-steps, kind="stable")]
+    columns = np.concatenate([es.vectors for es in systems], axis=1)[:, np.argsort(-steps, kind="stable")]
     widths = np.bincount(steps, minlength=len(reps)).tolist()
     # f[:, :k] is h; f[:, k:] holds the directions that left it, carrying
     # values[k:]
@@ -212,14 +208,14 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
         else:
             i, pos = i - w, pos + w
     values[:k] = reps[0]
-    return spectral_sum(first.vectors @ f, values)
+    return spectral_sum(f, values)
 
 
 def spec_join(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Supremum in the spectral order: the element whose family is the
-    pointwise projection meet of the input families, computed in the first
-    operand's eigenbasis with the sine rule of proj_meet (split_range, or
-    |R_tt| of one QR over a run of one-column steps)."""
+    pointwise projection meet of the input families, computed with the sine
+    rule of proj_meet (split_range, or |R_tt| of one QR over a run of
+    one-column steps)."""
     return _join(_validated(xs, cone, tol), tol)
 
 
@@ -245,69 +241,6 @@ def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np
     es = eigh(x, tol)
     v, w = es.vectors, es.values
     return spectral_sum(v, np.maximum(w, 0.0)), spectral_sum(v, np.maximum(-w, 0.0))
-
-
-def apply_monotone(
-    f: MonotoneBijection, x, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Monotone functional calculus: eigenvalues pass through f, spectral
-    projections stay fixed. The result is V diag(f(l)) V* in the clustered
-    eigenbasis V of x, each column carrying its cluster breakpoint l.
-
-    f must be a strictly increasing bijection of the cone's scalar domain,
-    which for 'pos' and 'eff' pins the relevant endpoints.
-    """
-    es = _cone_eigh(x, cone, tol)
-    check_scalar_map(endpoint_deviations(f, cone), cone, tol)
-    mapped = f(es.column_breakpoints)
-    if not np.all(np.isfinite(mapped)):
-        raise InvalidFamilyError("breakpoints must be finite")
-    return spectral_sum(es.vectors, mapped)
-
-
-def atom_scalar_decompose(
-    x, cone: str, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[float, np.ndarray] | None:
-    """Write x as alpha * e for a rank-one projection e, if possible.
-
-    Only meaningful on the positive and effect cones, where the scalar
-    multiples of atomic projections are exactly the elements below which the
-    order is total. Returns None when x has rank above one.
-    """
-    h = check_hermitian(x, tol, "x")
-    es = _eigh_hermitian(h, tol)
-    _check_spectrum(es.values, cone, tol, "x")
-    if max_abs(h) <= tol.eps_proj:
-        raise ConeError("x = 0 admits no atomic decomposition")
-    return _rank_one_part(es, cone, tol)
-
-
-def _rank_one_part(es: EigenSystem, cone: str, tol: ToleranceConfig):
-    """(alpha, e) with alpha * e the nonzero element decomposed in es, or
-    None when more than one of its eigenvalues exceeds eps_proj."""
-    if cone not in (POSITIVE, EFFECT):
-        raise ConeError("atom decomposition is defined on cones 'pos' and 'eff'")
-    significant = np.nonzero(es.values > tol.eps_proj)[0]
-    if len(significant) != 1:
-        return None
-    i = int(significant[0])
-    return float(es.values[i]), spectral_sum(es.vectors[:, [i]], 1.0)
-
-
-def is_central(z, profile, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff z is block-diagonal for the given factor profile with every
-    diagonal block a real scalar multiple of that block's identity: z is
-    within eps_proj, entry by entry, of the block-diagonal matrix of the
-    mean diagonal entry of each block."""
-    dims = tuple(getattr(profile, "dims", profile))
-    h = check_hermitian(z, tol, "z")
-    if h.shape[0] != sum(dims):
-        raise DimensionMismatchError(
-            f"matrix of dimension {h.shape[0]} does not fit profile {dims}"
-        )
-    starts = np.cumsum((0,) + dims[:-1])
-    scalars = np.add.reduceat(np.real(np.diagonal(h)), starts) / np.array(dims)
-    return max_abs(h - np.diag(np.repeat(scalars, dims))) <= tol.eps_proj
 
 
 def distributive_check(

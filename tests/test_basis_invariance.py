@@ -10,9 +10,10 @@ part, iso image and atom decomposition must agree with the unpatched run.
 
 import numpy as np
 
+from speclat.directsum import BlockProfile, DirectSumElement, ds_atom_scalar_decompose
 from speclat.family import family_of
 from speclat.isos import FactorCanonicalIso
-from speclat.order import atom_scalar_decompose, pos_neg_parts, spec_join, spec_leq, spec_meet
+from speclat.order import pos_neg_parts, spec_join, spec_leq, spec_meet
 from speclat.sampling import (
     random_in_cone,
     random_monotone_bijection,
@@ -71,7 +72,8 @@ def _results(cone, x, y, atom, isos):
     ]
     # x = 0 admits no decomposition and is refused either way
     zs = [] if atom is None else [z for z in (x, atom) if max_abs(z) > 1e-9]
-    parts = [atom_scalar_decompose(z, cone) for z in zs]
+    profile = BlockProfile((len(x),))
+    parts = [ds_atom_scalar_decompose(DirectSumElement(profile, [z]), cone) for z in zs]
     return arrays, verdicts, parts
 
 
@@ -98,7 +100,7 @@ def test_no_result_reads_the_eigenbasis(rng, monkeypatch):
             if part is not None:
                 atoms += 1
                 assert abs(part[0] - s_part[0]) <= 1e-12
-                worst = max(worst, max_abs(part[1] - s_part[1]))
+                worst = max(worst, max_abs(part[2] - s_part[2]))
         cases += 1
     assert cases == 288 and atoms >= 192
     assert worst <= 1e-12

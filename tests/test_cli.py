@@ -6,6 +6,8 @@ import pytest
 from speclat.cli import main
 from speclat.directsum import BlockProfile, DirectSumElement
 from speclat.io import emit_element, emit_iso
+from speclat.isos import DirectSumIso, FactorCanonicalIso, ProjectionIsomorphism
+from speclat.monotone import MonotoneBijection
 from speclat.sampling import random_direct_sum_iso, random_with_spectrum, rng_from
 from speclat.selftest import motivating_iso
 
@@ -147,6 +149,23 @@ def test_apply_iso(workdir, capsys, rng):
     np.testing.assert_allclose(second, np.diag([1.0, -8.0]), atol=1e-8)
 
 
+def test_apply_iso_refuses_values_sent_out_of_the_floats(workdir, capsys):
+    """t^5 sends 1e100 to infinity: the image is an input error, not an
+    element document with NaN entries, and no --out file is written."""
+    profile = BlockProfile((2,))
+    block = FactorCanonicalIso(MonotoneBijection.power(5.0), ProjectionIsomorphism.identity(2))
+    emit_iso(DirectSumIso(profile, profile, (0,), (block,)), workdir / "iso.json")
+    write_diag(workdir / "x.json", [1e100, 1.0])
+    write_diag(workdir / "c.json", [1e100, 1e100])
+    for element in ("x.json", "c.json"):
+        out = workdir / f"image-{element}"
+        argv = ["apply-iso", str(workdir / "iso.json"), str(workdir / element), "--out", str(out)]
+        with np.errstate(over="ignore"):
+            assert main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_apply_iso_cone_mismatch(workdir, capsys):
     emit_iso(motivating_iso(), workdir / "iso.json")
     write_diag(workdir / "x.json", [0.5, 0.5], [0.5, 0.5], cone="eff")
@@ -195,6 +214,31 @@ def test_verify_iso_ortho_flags_shear(workdir, capsys):
     assert checks["order preserved in both directions"] is True
     assert checks["orthogonality preserved"] is False
     assert report["witnesses"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-iso", "shear.json", "--ortho", "--trials", "0"],
+        ["verify-iso", "shear.json", "--trials", "-3"],
+        ["selftest", "--trials", "0"],
+        ["selftest", "--trials", "-1"],
+        ["decompose", "cube.json", "--samples", "0"],
+        ["decompose", "cube.json", "--grid", "0"],
+        ["decompose", "cube.json", "--samples", "-2", "--grid", "-2"],
+    ],
+)
+def test_sample_counts_below_one_are_input_errors(workdir, capsys, argv):
+    """A check over no samples would pass vacuously; argparse refuses such a
+    count with exit code 2 before anything runs."""
+    shear = random_direct_sum_iso(rng_from(5), BlockProfile((3,)), "eff", tau_kinds=("shear",))
+    emit_iso(shear, workdir / "shear.json")
+    emit_iso(motivating_iso(), workdir / "cube.json")
+    argv = [str(workdir / a) if a.endswith(".json") else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_verify_iso_jordan_passes(workdir, capsys):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from speclat import validation
-from speclat.directsum import BlockProfile
+from speclat.directsum import BlockProfile, DirectSumElement
 from speclat.errors import (
     ConeError,
     DimensionMismatchError,
+    InvalidFamilyError,
     NonFiniteError,
     SpeclatError,
 )
@@ -18,11 +19,10 @@ from speclat.isos import (
     OrderIsoOracle,
     ProjectionIsomorphism,
     _transported_spectrum,
-    theta_apply,
 )
 from speclat.linalg import eigh, orthonormal_range
 from speclat.monotone import MonotoneBijection
-from speclat.order import apply_monotone, spec_join, spec_leq, spec_meet
+from speclat.order import spec_join, spec_leq, spec_meet
 from speclat.sampling import (
     random_ds_element,
     random_effect,
@@ -35,6 +35,11 @@ from speclat.validation import max_abs
 
 def line(v):
     return orthonormal_range([np.asarray(v, dtype=complex)])
+
+
+def theta(tau, x):
+    """Theta_tau: the canonical isomorphism with the identity scalar map."""
+    return FactorCanonicalIso(MonotoneBijection.identity(), tau).apply(x)
 
 
 def test_projection_iso_identity(rng):
@@ -64,7 +69,7 @@ def test_projection_iso_rejects_singular():
 
 def test_theta_identity(rng):
     x = random_hermitian(rng, 3)
-    np.testing.assert_allclose(theta_apply(ProjectionIsomorphism.identity(3), x), x, atol=1e-9)
+    np.testing.assert_allclose(theta(ProjectionIsomorphism.identity(3), x), x, atol=1e-9)
 
 
 def test_theta_unitary_is_conjugation(rng):
@@ -72,7 +77,7 @@ def test_theta_unitary_is_conjugation(rng):
     tau = ProjectionIsomorphism(u)
     for _ in range(20):
         x = random_hermitian(rng, 4)
-        np.testing.assert_allclose(theta_apply(tau, x), u @ x @ u.conj().T, atol=1e-8)
+        np.testing.assert_allclose(theta(tau, x), u @ x @ u.conj().T, atol=1e-8)
 
 
 def test_theta_transports_the_family():
@@ -83,7 +88,7 @@ def test_theta_transports_the_family():
 
     tau = ProjectionIsomorphism(np.diag([1.0, 2.0]))
     p = line([1.0, 1.0])
-    image = theta_apply(tau, p)
+    image = theta(tau, p)
     fam = family_of(image)
     np.testing.assert_allclose(fam.breakpoints, [0.0, 1.0], atol=1e-9)
     np.testing.assert_allclose(fam.evaluate(0.5), tau.apply(line([1.0, -1.0])), atol=1e-9)
@@ -128,17 +133,22 @@ def test_jordan_matches_theta_of_its_projection_iso(rng):
         psi = JordanIso(random_unitary(rng, 3), transpose=transpose)
         tau = psi.as_projection_iso()
         x = random_hermitian(rng, 3)
-        np.testing.assert_allclose(theta_apply(tau, x), psi.apply(x), atol=1e-8)
+        np.testing.assert_allclose(theta(tau, x), psi.apply(x), atol=1e-8)
 
 
 def test_theta_commutes_with_monotone(rng):
+    """Theta_tau after f, f after Theta_tau and the canonical map of (f, tau)
+    agree: each of the three is FactorCanonicalIso.apply."""
     f = MonotoneBijection.power(3.0)
     tau = ProjectionIsomorphism(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    calculus = FactorCanonicalIso(f, ProjectionIsomorphism.identity(2))
+    canonical = FactorCanonicalIso(f, tau)
     for _ in range(20):
         x = random_hermitian(rng, 2)
-        a = theta_apply(tau, apply_monotone(f, x))
-        b = apply_monotone(f, theta_apply(tau, x))
+        a = theta(tau, calculus.apply(x))
+        b = calculus.apply(theta(tau, x))
         assert max_abs(a - b) <= 1e-8
+        assert max_abs(canonical.apply(x) - a) <= 1e-8
 
 
 def test_canonical_iso_preserves_order_both_ways(rng):
@@ -287,8 +297,9 @@ def test_cone_is_read_from_the_extreme_eigenvalues():
     for operation in (spec_join, spec_meet):
         with pytest.raises(ConeError, match="-2.000e-09 < 0"):
             operation([x, x], "pos")
+    profile = BlockProfile((3,))
     with pytest.raises(ConeError, match="-2.000e-09 < 0"):
-        apply_monotone(MonotoneBijection.identity(), x, "pos")
+        DirectSumIso.identity(profile, "pos").apply(DirectSumElement(profile, [x]))
 
 
 def test_scalar_shortcut_agrees_with_the_transported_spectrum(rng):
@@ -313,7 +324,8 @@ def test_scalar_shortcut_agrees_with_the_transported_spectrum(rng):
                 x = c * np.eye(3, dtype=complex)
                 got = iso.apply(x)
                 assert np.array_equal(got, f(c) * np.eye(3))
-                assert max_abs(got - _transported_spectrum(tau, eigh(x), f)) <= 1e-14
+                es = eigh(x)
+                assert max_abs(got - _transported_spectrum(tau, es, f(es.column_breakpoints))) <= 1e-14
 
 
 def test_scalar_probe_decomposes_a_block_scalar_only_at_its_first_entries(count_calls):
@@ -332,7 +344,8 @@ def test_scalar_probe_decomposes_a_block_scalar_only_at_its_first_entries(count_
             eighs.clear()
             got = iso.apply(x)
             assert len(eighs) == 1
-            assert got.tobytes() == _transported_spectrum(tau, eigh(x), f).tobytes()
+            es = eigh(x)
+            assert got.tobytes() == _transported_spectrum(tau, es, f(es.column_breakpoints)).tobytes()
             # a scalar block keeps unsigned zeros off the diagonal
             eighs.clear()
             got = iso.apply(c * np.eye(3))
@@ -353,6 +366,25 @@ def test_scalar_probe_decomposes_a_block_scalar_only_at_its_first_entries(count_
         x[0, 2] = x[2, 0] = bad
         with pytest.raises(NonFiniteError):
             FactorCanonicalIso(f, ProjectionIsomorphism(SHEAR), "sa").apply(x)
+
+
+def test_values_sent_out_of_the_floats_are_refused():
+    """t^5 sends 1e100 to infinity. The image is refused on the eigensystem
+    path and on the c * 1 path, for every kind of tau, rather than returned
+    with NaN or infinite entries."""
+    f = MonotoneBijection.power(5.0)
+    taus = (
+        ProjectionIsomorphism.identity(3),
+        ProjectionIsomorphism(SHEAR),
+        ProjectionIsomorphism(SHEAR, antilinear=True),
+    )
+    for tau in taus:
+        iso = FactorCanonicalIso(f, tau, "sa")
+        for x in (np.diag([1e100, 1.0, 1.0]), 1e100 * np.eye(3), -1e100 * np.eye(3)):
+            with np.errstate(over="ignore"), pytest.raises(InvalidFamilyError, match="finite"):
+                iso.apply(x)
+        # (1e60)^5 = 1e300 is still a float
+        assert np.isfinite(iso.apply(np.diag([1e60, 1.0, 1.0]))).all()
 
 
 def _count_calls(monkeypatch, module, names, calls):

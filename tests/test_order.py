@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 
 from speclat import order
+from speclat.directsum import BlockProfile, DirectSumElement, ds_atom_scalar_decompose, ds_central_scalars
 from speclat.errors import ConeError, DimensionMismatchError, InvalidFamilyError, NonFiniteError
 from speclat.family import SpectralFamily, element_of, family_of, merged_breakpoints
+from speclat.isos import FactorCanonicalIso, ProjectionIsomorphism
 from speclat.linalg import eigh, is_psd, spectral_sum
 from speclat.monotone import MonotoneBijection
 from speclat.order import (
-    apply_monotone,
-    atom_scalar_decompose,
     check_cone,
     distributive_check,
-    is_central,
     pos_neg_parts,
     spec_join,
     spec_leq,
@@ -393,13 +392,19 @@ def test_pos_neg_parts_identities(rng):
         assert is_psd(plus) and is_psd(minus)
 
 
+def functional_calculus(f, x, cone="sa"):
+    """Monotone functional calculus: the canonical isomorphism with identity
+    tau, so eigenvalues pass through f and spectral projections stay."""
+    return FactorCanonicalIso(f, ProjectionIsomorphism.identity(len(x)), cone).apply(x)
+
+
 def test_apply_monotone_identity(rng):
     x = random_hermitian(rng, 3)
-    np.testing.assert_allclose(apply_monotone(MonotoneBijection.identity(), x), x, atol=1e-10)
+    np.testing.assert_allclose(functional_calculus(MonotoneBijection.identity(), x), x, atol=1e-10)
 
 
 def test_apply_monotone_cube():
-    got = apply_monotone(MonotoneBijection.power(3.0), np.diag([1.0, -2.0]).astype(complex))
+    got = functional_calculus(MonotoneBijection.power(3.0), np.diag([1.0, -2.0]).astype(complex))
     np.testing.assert_allclose(got, np.diag([1.0, -8.0]), atol=1e-10)
 
 
@@ -409,18 +414,19 @@ def test_apply_monotone_preserves_order(rng):
         n = int(rng.integers(2, 5))
         x = random_hermitian(rng, n)
         y = spec_join([x, random_hermitian(rng, n)], "sa")
-        assert spec_leq(apply_monotone(f, x), apply_monotone(f, y))
+        assert spec_leq(functional_calculus(f, x), functional_calculus(f, y))
 
 
 def test_apply_monotone_cone_domain_guard():
     f = MonotoneBijection.piecewise_linear([0.0, 1.0], [0.1, 1.0])
     with pytest.raises(ConeError):
-        apply_monotone(f, np.diag([0.5, 0.5]).astype(complex), "eff")
+        functional_calculus(f, np.diag([0.5, 0.5]).astype(complex), "eff")
 
 
 def test_apply_monotone_matches_family_formula(rng):
-    """V diag(f(l)) V* in the clustered eigenbasis equals the old
-    element_of(SpectralFamily(f(breakpoints), cumulative)) construction."""
+    """The canonical map with identity tau equals the family formula
+    element_of(SpectralFamily(f(breakpoints), cumulative)), an independent
+    reference."""
     maps = {
         "sa": [MonotoneBijection.power(3.0), MonotoneBijection.piecewise_linear([-1.0, 0.0, 2.0], [-3.0, 0.5, 1.0])],
         "pos": [MonotoneBijection.power(0.5), MonotoneBijection.piecewise_linear([0.0, 0.5, 3.0], [0.0, 1.0, 1.5])],
@@ -437,28 +443,34 @@ def test_apply_monotone_matches_family_formula(rng):
         for f in maps[cone]:
             fam = family_of(x)
             expected = element_of(SpectralFamily(f(fam.breakpoints), fam.cumulative))
-            assert max_abs(apply_monotone(f, x, cone) - expected) <= 1e-12
-    # a breakpoint that f sends to infinity is refused, as the family was
+            assert max_abs(functional_calculus(f, x, cone) - expected) <= 1e-12
+    # a breakpoint that f sends to infinity is refused, as SpectralFamily refuses it
     with pytest.raises(InvalidFamilyError, match="finite"):
-        apply_monotone(MonotoneBijection.power(5.0), np.diag([1e100, 1.0]))
+        functional_calculus(MonotoneBijection.power(5.0), np.diag([1e100, 1.0]))
+
+
+def one_block_atom(x, cone):
+    """ds_atom_scalar_decompose on the one-factor direct sum of x."""
+    return ds_atom_scalar_decompose(DirectSumElement(BlockProfile((len(x),)), [x]), cone)
 
 
 def test_atom_scalar_decompose_examples():
-    found = atom_scalar_decompose(0.5 * np.diag([1.0, 0.0]).astype(complex), "eff")
+    found = one_block_atom(0.5 * np.diag([1.0, 0.0]).astype(complex), "eff")
     assert found is not None
-    alpha, e = found
+    alpha, block, e = found
+    assert block == 0
     assert alpha == pytest.approx(0.5, abs=1e-12)
     np.testing.assert_allclose(e, np.diag([1.0, 0.0]), atol=1e-12)
-    assert atom_scalar_decompose(np.eye(2, dtype=complex), "eff") is None
+    assert one_block_atom(np.eye(2, dtype=complex), "eff") is None
 
 
 def test_atom_scalar_decompose_errors():
     with pytest.raises(ConeError):
-        atom_scalar_decompose(np.zeros((2, 2)), "eff")
+        one_block_atom(np.zeros((2, 2)), "eff")
     with pytest.raises(ConeError):
-        atom_scalar_decompose(np.diag([2.0, 0.0]).astype(complex), "eff")
+        one_block_atom(np.diag([2.0, 0.0]).astype(complex), "eff")
     with pytest.raises(ConeError):
-        atom_scalar_decompose(np.diag([1.0, 0.0]).astype(complex), "sa")
+        one_block_atom(np.diag([1.0, 0.0]).astype(complex), "sa")
 
 
 def test_atoms_make_order_total_below(rng):
@@ -481,12 +493,17 @@ def test_atoms_make_order_total_below(rng):
     assert found_incomparable
 
 
+def central_scalars(*blocks):
+    """ds_central_scalars of the direct sum with the given blocks."""
+    profile = BlockProfile(tuple(len(b) for b in blocks))
+    return ds_central_scalars(DirectSumElement(profile, [np.asarray(b, dtype=complex) for b in blocks]))
+
+
 def test_is_central_examples():
-    assert is_central(2.5 * np.eye(3, dtype=complex), (3,))
-    assert not is_central(np.diag([1.0, 2.0]).astype(complex), (2,))
-    z = np.diag([2.0, 2.0, -1.0, -1.0, -1.0]).astype(complex)
-    assert is_central(z, (2, 3))
-    assert not is_central(np.diag([2.0, 1.0, -1.0, -1.0, -1.0]).astype(complex), (2, 3))
+    assert central_scalars(2.5 * np.eye(3)) == [2.5]
+    assert central_scalars(np.diag([1.0, 2.0])) is None
+    assert central_scalars(2.0 * np.eye(2), -np.eye(3)) == [2.0, -1.0]
+    assert central_scalars(np.diag([2.0, 1.0]), -np.eye(3)) is None
 
 
 def test_distributive_check_central_and_absorbing(rng):
@@ -499,5 +516,5 @@ def test_distributive_check_central_and_absorbing(rng):
 
 
 def test_distributive_check_stored_violation():
-    assert not is_central(Z_NC, (2,))
+    assert central_scalars(Z_NC) is None
     assert not distributive_check(Z_NC, X_NC, Y_NC, "sa")

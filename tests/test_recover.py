@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from speclat.directsum import BlockProfile, DirectSumElement, embed_block
+from speclat.directsum import BlockProfile, DirectSumElement, ds_atom_scalar_decompose, embed_block
 from speclat.errors import DecompositionError, DimensionMismatchError
 from speclat.isos import (
     DirectSumIso,
@@ -253,7 +253,6 @@ def test_effect_iso_preserves_scalar_atom_multiples(rng):
     same set, and atomic projections (the maximal such elements) onto atomic
     projections."""
     from speclat.linalg import orthonormal_range
-    from speclat.order import atom_scalar_decompose
     from speclat.sampling import random_projection_isomorphism
 
     for _ in range(20):
@@ -264,12 +263,13 @@ def test_effect_iso_preserves_scalar_atom_multiples(rng):
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         atom = orthonormal_range([v])
         lam = rng.uniform(0.1, 0.9)
-        image = phi.apply(lam * atom)
-        found = atom_scalar_decompose(image, "eff")
+        profile = BlockProfile((n,))
+        image = DirectSumElement(profile, [phi.apply(lam * atom)])
+        found = ds_atom_scalar_decompose(image, "eff")
         assert found is not None
-        top = atom_scalar_decompose(phi.apply(atom), "eff")
+        top = ds_atom_scalar_decompose(DirectSumElement(profile, [phi.apply(atom)]), "eff")
         assert top is not None
-        alpha, e = top
+        alpha, _, e = top
         assert alpha == pytest.approx(1.0, abs=1e-9)
         assert max_abs(e @ e - e) <= 1e-9
 
