@@ -194,10 +194,6 @@ def _cmd_posneg(args, tol, report: Report) -> int:
 def _cmd_atoms(args, tol, report: Report) -> int:
     x, cone = parse_element(args.element, tol)
     report.inputs = {"element": file_digest(args.element)}
-    if cone == "sa":
-        raise SpeclatError(
-            "atom detection needs a 'pos' or 'eff' element document"
-        )
     found = ds_atom_scalar_decompose(x, cone, tol)
     if found is None:
         report.add_verdict("scalar multiple of an atom", False, detail="rank above one")

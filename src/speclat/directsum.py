@@ -197,16 +197,17 @@ def ds_atom_scalar_decompose(
     It is defined on the cones 'pos' and 'eff', where the scalar multiples
     of atoms are exactly the elements below which the order is total. Each
     block is validated and decomposed once, and its cone membership is
-    read from that eigensystem.
+    read from that eigensystem. Any other cone raises ConeError before any
+    block is decomposed.
     """
+    if cone not in (POSITIVE, EFFECT):
+        raise ConeError("atom decomposition is defined on cones 'pos' and 'eff'")
     systems = [_cone_eigh(b, cone, tol, f"blocks[{j}]") for j, b in enumerate(x.blocks)]
     supported = [j for j, b in enumerate(x.blocks) if max_abs(b) > tol.eps_proj]
     if not supported:
         raise ConeError("x = 0 admits no atomic decomposition")
     if len(supported) != 1:
         return None
-    if cone not in (POSITIVE, EFFECT):
-        raise ConeError("atom decomposition is defined on cones 'pos' and 'eff'")
     j = supported[0]
     es = systems[j]
     significant = np.nonzero(es.values > tol.eps_proj)[0]

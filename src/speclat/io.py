@@ -134,14 +134,6 @@ def monotone_from_doc(doc: dict, where: str) -> MonotoneBijection:
 
 
 def _block_iso_to_doc(block: FactorCanonicalIso) -> dict:
-    if block.jordan is not None:
-        return {
-            "jordan": {
-                "u": matrix_to_json(block.jordan.u),
-                "transpose": block.jordan.transpose,
-            },
-            "f": monotone_to_doc(block.f),
-        }
     return {
         "f": monotone_to_doc(block.f),
         "tau": {"T": matrix_to_json(block.tau.T), "antilinear": block.tau.antilinear},

@@ -5,13 +5,13 @@ isomorphisms, and blockwise direct-sum isomorphisms with a permutation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement, _check_profiles
-from .errors import DimensionMismatchError, InvalidFamilyError, SpeclatError
+from .errors import ConeError, DimensionMismatchError, InvalidFamilyError, SpeclatError
 from .linalg import EigenSystem, _eigh_hermitian, orthonormal_range, spectral_sum, split_range
 from .monotone import MonotoneBijection
 from .order import SELF_ADJOINT, _check_cone_name, _check_spectrum, check_scalar_map, endpoint_deviations
@@ -77,20 +77,11 @@ class JordanIso:
             raise SpeclatError("u is not unitary")
         object.__setattr__(self, "u", u)
 
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
         body = x.T if self.transpose else x
         out = self.u @ body @ self.u.conj().T
         return (out + out.conj().T) / 2.0
-
-    def inverse(self) -> "JordanIso":
-        if self.transpose:
-            return JordanIso(self.u.T, transpose=True)
-        return JordanIso(self.u.conj().T, transpose=False)
 
     def as_projection_iso(self) -> ProjectionIsomorphism:
         """On projections a Jordan map acts by the unitary, conjugating
@@ -125,7 +116,9 @@ class FactorCanonicalIso:
     f: MonotoneBijection
     tau: ProjectionIsomorphism
     cone: str = SELF_ADJOINT
-    jordan: JordanIso | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        _check_cone_name(self.cone)
 
     @property
     def n(self) -> int:
@@ -137,9 +130,8 @@ class FactorCanonicalIso:
 
     @classmethod
     def from_jordan(cls, psi: JordanIso, f: MonotoneBijection, cone: str = SELF_ADJOINT):
-        """Orthoisomorphism-shaped block: psi(f(x)); tau is taken from the
-        Jordan map and the Jordan form is remembered for serialization."""
-        return cls(f, psi.as_projection_iso(), cone, jordan=psi)
+        """Orthoisomorphism-shaped block psi(f(x)): tau is the Jordan map's."""
+        return cls(f, psi.as_projection_iso(), cone)
 
     @cached_property
     def _endpoint_deviations(self) -> tuple[tuple[float, float], ...]:
@@ -156,7 +148,6 @@ class FactorCanonicalIso:
         that eigensystem before the spectrum is transported. Values that f
         sends out of the floats (t^5 at 1e100) are refused on both paths.
         """
-        _check_cone_name(self.cone)
         h = check_hermitian(x, tol, "element")
         n = h.shape[0]
         c = 0.0 + h[0, 0].real  # 0.0 + keeps a zero scalar unsigned, as breakpoints are
@@ -180,12 +171,7 @@ class FactorCanonicalIso:
         return _transported_spectrum(self.tau, es, values)
 
     def inverse(self) -> "FactorCanonicalIso":
-        return FactorCanonicalIso(
-            self.f.inverse(),
-            self.tau.inverse(),
-            self.cone,
-            jordan=self.jordan.inverse() if self.jordan is not None else None,
-        )
+        return FactorCanonicalIso(self.f.inverse(), self.tau.inverse(), self.cone)
 
 
 @dataclass(frozen=True)
@@ -221,6 +207,8 @@ class DirectSumIso:
         for j, b in enumerate(self.blocks):
             if b.n != dom.dims[j]:
                 raise DimensionMismatchError(f"blocks[{j}] acts on dimension {b.n}")
+            if b.cone != self.cone:
+                raise ConeError(f"blocks[{j}] is built for cone {b.cone!r}, not {self.cone!r}")
 
     @classmethod
     def identity(cls, profile: BlockProfile, cone: str = SELF_ADJOINT) -> "DirectSumIso":

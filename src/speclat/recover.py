@@ -31,7 +31,7 @@ from .monotone import MonotoneBijection
 from .order import EFFECT, SELF_ADJOINT, check_scalar_map, endpoint_deviations
 from .sampling import random_ds_element, random_effect, random_unitary, rng_from
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .validation import max_abs
+from .validation import _check_count, max_abs
 
 
 def _single_factor_dim(oracle: OrderIsoOracle) -> int:
@@ -133,6 +133,7 @@ class FactorCanonicalRecovery:
     """
 
     def __init__(self, grid_points=129, n_verify=200, verify_tol=None, random_state=0, tol=DEFAULT_TOL):
+        _check_count(n_verify, "n_verify")
         self.grid_points = grid_points
         self.n_verify = n_verify
         self.verify_tol = verify_tol
@@ -235,6 +236,7 @@ class DirectSumIsoDecomposer:
     """
 
     def __init__(self, n_verify=50, random_state=0, tol=DEFAULT_TOL):
+        _check_count(n_verify, "n_verify")
         self.n_verify = n_verify
         self.random_state = random_state
         self.tol = tol
@@ -311,13 +313,13 @@ class DirectSumIsoDecomposer:
             single_dom = BlockProfile((dom.dims[j],))
             single_cod = BlockProfile((cod.dims[k],))
 
-            def fwd(x: DirectSumElement, _j=j, _k=k) -> DirectSumElement:
-                image = forward(embed_block(dom, _j, x.blocks[0]))
-                return DirectSumElement(single_cod, [image.blocks[_k]], validate=False)
+            def fwd(x: DirectSumElement) -> DirectSumElement:
+                image = forward(embed_block(dom, j, x.blocks[0]))
+                return DirectSumElement(single_cod, [image.blocks[k]], validate=False)
 
-            def inv(y: DirectSumElement, _j=j, _k=k) -> DirectSumElement:
-                pre = backward(embed_block(cod, _k, y.blocks[0]))
-                return DirectSumElement(single_dom, [pre.blocks[_j]], validate=False)
+            def inv(y: DirectSumElement) -> DirectSumElement:
+                pre = backward(embed_block(cod, k, y.blocks[0]))
+                return DirectSumElement(single_dom, [pre.blocks[j]], validate=False)
 
             return OrderIsoOracle(single_dom, single_cod, oracle.cone, fwd, inv)
 
@@ -348,11 +350,7 @@ class OrthoCheck:
 
     ok: bool
     witness: dict | None
-    trials: int
     flags: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _block_orthogonal_pair(rng, dim: int):
@@ -381,7 +379,9 @@ def is_orthoiso(
     the map in both directions; pairs with a clearly nonzero product guard
     the converse. A product counts as zero when no entry of any block
     exceeds 1000 * eps_proj. The first violation is returned as a witness.
+    A trial count below 1 raises ValueError.
     """
+    _check_count(trials, "trials")
     zero_bound = 1000.0 * tol.eps_proj
     rng = rng_from(random_state)
     flags = ("type-I2",) if 2 in oracle.domain_profile.dims + oracle.codomain_profile.dims else ()
@@ -436,10 +436,10 @@ def is_orthoiso(
                 }
         return None
 
-    for trial in range(trials):
+    for _ in range(trials):
         witness = scan(oracle.forward, oracle.domain_profile, "forward")
         if witness is None:
             witness = scan(oracle.inverse, oracle.codomain_profile, "inverse")
         if witness is not None:
-            return OrthoCheck(False, witness, trial + 1, flags)
-    return OrthoCheck(True, None, trials, flags)
+            return OrthoCheck(False, witness, flags)
+    return OrthoCheck(True, None, flags)

@@ -158,7 +158,6 @@ def random_direct_sum_iso(
     cone: str = SELF_ADJOINT,
     tau_kinds: tuple[str, ...] = ("unitary", "shear"),
     jordan: bool = False,
-    grid: int | None = None,
     fix_zero: bool = False,
 ) -> DirectSumIso:
     """Random blockwise isomorphism over the given domain profile; the
@@ -168,7 +167,7 @@ def random_direct_sum_iso(
     codomain = BlockProfile(tuple(profile.dims[j] for j in pi))
     blocks = []
     for d in profile.dims:
-        f = random_monotone_bijection(rng, cone, grid=grid, fix_zero=fix_zero)
+        f = random_monotone_bijection(rng, cone, fix_zero=fix_zero)
         if jordan:
             psi = JordanIso(random_unitary(rng, d), transpose=bool(rng.integers(2)))
             blocks.append(FactorCanonicalIso.from_jordan(psi, f, cone))
@@ -179,15 +178,10 @@ def random_direct_sum_iso(
 
 
 def random_commuting_family(
-    rng: np.random.Generator, n: int, count: int, cone: str = SELF_ADJOINT
+    rng: np.random.Generator, n: int, count: int
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """A common eigenbasis u, the list of eigenvalue vectors, and the
-    commuting matrices u diag(w) u*."""
+    """A common eigenbasis u, the list of eigenvalue vectors (uniform on
+    [-2, 2]), and the commuting self-adjoint matrices u diag(w) u*."""
     u = random_unitary(rng, n)
-    if cone == EFFECT:
-        spectra = [np.sort(rng.uniform(0.0, 1.0, n)) for _ in range(count)]
-    elif cone == POSITIVE:
-        spectra = [np.sort(rng.uniform(0.0, 2.0, n)) for _ in range(count)]
-    else:
-        spectra = [np.sort(rng.uniform(-2.0, 2.0, n)) for _ in range(count)]
+    spectra = [np.sort(rng.uniform(-2.0, 2.0, n)) for _ in range(count)]
     return u, spectra, [spectral_sum(u, w) for w in spectra]

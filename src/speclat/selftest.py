@@ -42,7 +42,7 @@ from .sampling import (
     rng_from,
 )
 from .tolerances import DEFAULT_TOL, ToleranceConfig
-from .validation import max_abs
+from .validation import _check_count, max_abs
 
 # frozen Loewner-vs-spectral separation pair: y - x is positive
 # semidefinite, yet the spectral families cross at (3 - sqrt 5)/2
@@ -153,7 +153,7 @@ def check_lattice_formulas(
     for _ in range(commuting):
         n = int(rng.integers(2, max_dim + 1))
         count = int(rng.integers(2, 4))
-        u, spectra, mats = random_commuting_family(rng, n, count, "sa")
+        u, spectra, mats = random_commuting_family(rng, n, count)
         lo = np.min(spectra, axis=0)
         hi = np.max(spectra, axis=0)
         expect_meet = (u * lo) @ u.conj().T
@@ -493,11 +493,9 @@ def motivating_iso() -> DirectSumIso:
     return DirectSumIso(profile, profile, (0, 1), blocks, "sa")
 
 
-def check_motivating_example(
-    grid_tol: float = 1e-6, tol: ToleranceConfig = DEFAULT_TOL
-) -> CheckResult:
+def check_motivating_example(tol: ToleranceConfig = DEFAULT_TOL) -> CheckResult:
     """Decompose the component-cubing automorphism and read off its scalar
-    actions on a grid."""
+    actions on a grid, each within 1e-6 of identity and cubing."""
     oracle = OrderIsoOracle.from_iso(motivating_iso(), tol)
     try:
         dec = DirectSumIsoDecomposer(n_verify=20, random_state=0, tol=tol).fit(oracle)
@@ -508,7 +506,7 @@ def check_motivating_example(
         return CheckResult("component-cubing automorphism", False, str(exc))
     err_id = float(np.max(np.abs(f0 - grid)))
     err_cube = float(np.max(np.abs(f1 - grid**3)))
-    passed = dec.permutation_ == (0, 1) and err_id <= grid_tol and err_cube <= grid_tol
+    passed = dec.permutation_ == (0, 1) and err_id <= 1e-6 and err_cube <= 1e-6
     return CheckResult(
         "component-cubing automorphism",
         passed,
@@ -520,7 +518,9 @@ def check_motivating_example(
 
 def run_selftest(seed: int = 0, trials: int | None = None, tol: ToleranceConfig = DEFAULT_TOL):
     """Reduced sweep of every check; `trials` overrides the dominant sample
-    count of each randomized check."""
+    count of each randomized check and must be at least 1 (ValueError)."""
+    if trials is not None:
+        _check_count(trials, "trials")
     rng = rng_from(seed)
     t = trials
     results = [

@@ -18,6 +18,12 @@ def max_abs(a) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
 
 
+def _check_count(count: int, name: str) -> None:
+    """A check over no samples passes vacuously: refuse a count below 1."""
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+
+
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex128 ndarray."""
     m = np.asarray(a, dtype=np.complex128)

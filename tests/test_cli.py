@@ -5,10 +5,10 @@ import pytest
 
 from speclat.cli import main
 from speclat.directsum import BlockProfile, DirectSumElement
-from speclat.io import emit_element, emit_iso
+from speclat.io import element_from_doc, emit_element, emit_iso, matrix_to_json, parse_element
 from speclat.isos import DirectSumIso, FactorCanonicalIso, ProjectionIsomorphism
 from speclat.monotone import MonotoneBijection
-from speclat.sampling import random_direct_sum_iso, random_with_spectrum, rng_from
+from speclat.sampling import random_direct_sum_iso, random_unitary, random_with_spectrum, rng_from
 from speclat.selftest import motivating_iso
 
 
@@ -149,6 +149,22 @@ def test_apply_iso(workdir, capsys, rng):
     np.testing.assert_allclose(second, np.diag([1.0, -8.0]), atol=1e-8)
 
 
+def test_apply_iso_writes_the_reported_image(workdir, capsys):
+    emit_iso(motivating_iso(), workdir / "iso.json")
+    write_diag(workdir / "x.json", [1.0, -2.0], [0.5, 3.0])
+    out = workdir / "image.json"
+    code, report = run_json(
+        capsys, ["apply-iso", str(workdir / "iso.json"), str(workdir / "x.json"), "--out", str(out)]
+    )
+    assert code == 0
+    assert json.loads(out.read_text()) == report["result"]
+    written, cone = parse_element(out)
+    reported, _ = element_from_doc(report["result"])
+    assert cone == "sa"
+    assert all(np.array_equal(a, b) for a, b in zip(written.blocks, reported.blocks))
+    np.testing.assert_allclose(written.blocks[1], np.diag([0.125, 27.0]), atol=1e-12)
+
+
 def test_apply_iso_refuses_values_sent_out_of_the_floats(workdir, capsys):
     """t^5 sends 1e100 to infinity: the image is an input error, not an
     element document with NaN entries, and no --out file is written."""
@@ -242,9 +258,23 @@ def test_sample_counts_below_one_are_input_errors(workdir, capsys, argv):
 
 
 def test_verify_iso_jordan_passes(workdir, capsys):
+    """A document in jordan form, written by hand: emit_iso writes tau
+    blocks only."""
     rng = rng_from(6)
-    iso = random_direct_sum_iso(rng, BlockProfile((2, 3)), "eff", jordan=True)
-    emit_iso(iso, workdir / "jordan.json")
+    blocks = []
+    for d in (2, 3):
+        f = {"kind": "pl", "knots": [0.0, 0.5, 1.0], "values": [0.0, 0.3, 1.0]}
+        u = matrix_to_json(random_unitary(rng, d))
+        blocks.append({"f": f, "jordan": {"u": u, "transpose": d == 3}})
+    doc = {
+        "schema_version": "1",
+        "domain_profile": [2, 3],
+        "codomain_profile": [2, 3],
+        "cone": "eff",
+        "pi": [0, 1],
+        "blocks": blocks,
+    }
+    (workdir / "jordan.json").write_text(json.dumps(doc), encoding="utf-8")
     code, report = run_json(
         capsys, ["verify-iso", str(workdir / "jordan.json"), "--ortho", "--trials", "40"]
     )

@@ -1,10 +1,17 @@
 """Checks on the package's source and documentation rather than its maths:
-the README's library example runs, and the modules carry no dead imports
-or private module-level names that nothing reads."""
+the README's library example runs, its isomorphism document parses, and
+the modules carry no dead imports or private module-level names that
+nothing reads."""
 
 import ast
+import json
 import re
 from pathlib import Path
+
+import numpy as np
+
+from speclat.directsum import DirectSumElement
+from speclat.io import iso_from_doc
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "speclat"
@@ -38,6 +45,22 @@ def test_readme_library_quick_start_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
     assert block is not None
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_readme_iso_document_parses_and_applies():
+    """The README's isomorphism document, jordan block included, is a
+    valid document that maps an element of its domain."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("### Isomorphism documents", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.DOTALL)
+    assert block is not None
+    iso = iso_from_doc(json.loads(block.group(1)))
+    x = DirectSumElement(iso.domain_profile, [np.diag([1.0, -2.0]), np.diag([0.5, 3.0])])
+    y = iso.apply(x)
+    # pi = [1, 0]: slot 0 of the image is the identity-f, transposed
+    # Jordan image of block 1; slot 1 is the cube of block 0
+    np.testing.assert_allclose(y.blocks[0], np.diag([3.0, 0.5]), atol=1e-12)
+    np.testing.assert_allclose(y.blocks[1], np.diag([1.0, -8.0]), atol=1e-12)
 
 
 def test_no_module_imports_a_name_it_never_reads():

@@ -17,7 +17,7 @@ from speclat.io import (
     parse_element,
     parse_iso,
 )
-from speclat.sampling import random_direct_sum_iso, random_ds_element
+from speclat.sampling import random_direct_sum_iso, random_ds_element, random_unitary
 from speclat.validation import check_hermitian, max_abs
 
 
@@ -76,12 +76,42 @@ def test_iso_round_trip(rng, tmp_path):
         iso = random_direct_sum_iso(rng, BlockProfile((2, 2)), cone, jordan=jordan)
         path = tmp_path / f"iso-{cone}.json"
         emit_iso(iso, path)
+        assert all("tau" in b and "jordan" not in b for b in json.loads(path.read_text())["blocks"])
         back = parse_iso(path)
         assert back.pi == iso.pi
         assert back.cone == iso.cone
         x = random_ds_element(rng, BlockProfile((2, 2)), cone)
         ya, yb = iso.apply(x), back.apply(x)
         assert all(max_abs(a - b) <= 1e-10 for a, b in zip(ya.blocks, yb.blocks))
+
+
+def test_jordan_block_reads_as_its_tau_form(rng):
+    """emit_iso writes tau blocks only; a hand-written jordan block still
+    parses, to tau = (u, antilinear = transpose) bit for bit, and a
+    non-unitary u is a schema error."""
+    u = random_unitary(rng, 2)
+    f = {"kind": "power", "exponent": 3.0}
+
+    def doc(block):
+        return {
+            "schema_version": "1",
+            "domain_profile": [2],
+            "codomain_profile": [2],
+            "cone": "sa",
+            "pi": [0],
+            "blocks": [block],
+        }
+
+    for transpose in (False, True):
+        jordan = iso_from_doc(doc({"f": f, "jordan": {"u": matrix_to_json(u), "transpose": transpose}}))
+        tau = iso_from_doc(doc({"f": f, "tau": {"T": matrix_to_json(u), "antilinear": transpose}}))
+        assert np.array_equal(jordan.blocks[0].tau.T, u)
+        assert np.array_equal(jordan.blocks[0].tau.T, tau.blocks[0].tau.T)
+        assert jordan.blocks[0].tau.antilinear is transpose
+        assert iso_to_doc(jordan) == iso_to_doc(tau)
+    shear = matrix_to_json(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(SchemaError, match="not unitary"):
+        iso_from_doc(doc({"f": f, "jordan": {"u": shear, "transpose": False}}))
 
 
 def test_iso_doc_power_kind():

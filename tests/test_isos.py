@@ -121,13 +121,6 @@ def test_jordan_rejects_non_unitary():
         JordanIso(np.diag([1.0, 2.0]))
 
 
-def test_jordan_inverse(rng):
-    for transpose in (False, True):
-        psi = JordanIso(random_unitary(rng, 3), transpose=transpose)
-        x = random_hermitian(rng, 3)
-        np.testing.assert_allclose(psi.inverse().apply(psi.apply(x)), x, atol=1e-10)
-
-
 def test_jordan_matches_theta_of_its_projection_iso(rng):
     for transpose in (False, True):
         psi = JordanIso(random_unitary(rng, 3), transpose=transpose)
@@ -211,6 +204,27 @@ def test_direct_sum_iso_validation():
         DirectSumIso(profile, profile, (1, 0), blocks)  # dims forbid the swap
     with pytest.raises(DimensionMismatchError):
         DirectSumIso(profile, profile, (0, 0), blocks)  # not a bijection
+
+
+def test_an_iso_refuses_an_unknown_cone_when_it_is_built():
+    with pytest.raises(ConeError, match="unknown cone 'psd'"):
+        FactorCanonicalIso(MonotoneBijection.identity(), ProjectionIsomorphism.identity(2), "psd")
+    with pytest.raises(ConeError, match="unknown cone"):
+        FactorCanonicalIso.identity(2, "effect")
+
+
+def test_direct_sum_iso_refuses_blocks_built_for_another_cone():
+    """Cubing blocks built for 'sa' would map diag(2, -3), which is no
+    effect, to diag(8, -27) under an 'eff' isomorphism."""
+    profile = BlockProfile((2,))
+    cube = FactorCanonicalIso(MonotoneBijection.power(3.0), ProjectionIsomorphism.identity(2), "sa")
+    with pytest.raises(ConeError, match="blocks\\[0\\] is built for cone 'sa', not 'eff'"):
+        DirectSumIso(profile, profile, (0,), (cube,), "eff")
+    with pytest.raises(ConeError):
+        DirectSumIso(profile, profile, (0,), (FactorCanonicalIso.identity(2, "pos"),), "sa")
+    iso = DirectSumIso(profile, profile, (0,), (cube,), "sa")
+    out = iso.apply(DirectSumElement(profile, [np.diag([2.0, -3.0])]))
+    np.testing.assert_allclose(out.blocks[0], np.diag([8.0, -27.0]), atol=1e-12)
 
 
 def test_direct_sum_iso_inverse_round_trip(rng):

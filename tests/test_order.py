@@ -314,7 +314,7 @@ def test_join_meet_commuting_max_min():
 def test_join_meet_commuting_oracle(rng):
     for _ in range(100):
         n = int(rng.integers(2, 5))
-        u, spectra, mats = random_commuting_family(rng, n, 2, "sa")
+        u, spectra, mats = random_commuting_family(rng, n, 2)
         np.testing.assert_allclose(
             spec_meet(mats, "sa"), (u * np.min(spectra, axis=0)) @ u.conj().T, atol=1e-8
         )
@@ -471,6 +471,11 @@ def test_atom_scalar_decompose_errors():
         one_block_atom(np.diag([2.0, 0.0]).astype(complex), "eff")
     with pytest.raises(ConeError):
         one_block_atom(np.diag([1.0, 0.0]).astype(complex), "sa")
+    # the cone is refused before any block is read: two supported blocks on
+    # 'sa' are no false "not an atom" verdict
+    two = DirectSumElement(BlockProfile((2, 2)), [np.diag([1.0, 0.0]), np.diag([0.5, 0.0])])
+    with pytest.raises(ConeError, match="'pos' and 'eff'"):
+        ds_atom_scalar_decompose(two, "sa")
 
 
 def test_atoms_make_order_total_below(rng):

@@ -27,6 +27,7 @@ from speclat.sampling import (
     random_unitary,
     rng_from,
 )
+from speclat.selftest import run_selftest
 from speclat.tolerances import DEFAULT_TOL
 from speclat.validation import max_abs
 
@@ -290,6 +291,52 @@ def test_is_orthoiso_flags_shear(rng):
     assert not check.ok
     assert check.witness is not None
     assert check.witness["image_product_norm"] > 1e-6
+
+
+def test_is_orthoiso_finds_a_nonzero_product_sent_to_zero():
+    """Keeping only the larger slot of a two-slot effect keeps orthogonal
+    pairs orthogonal, but sends (a, b) and (c, d) with a > b, c < d to
+    orthogonal images although their product is not zero. The inverse is
+    the identity, so only the forward scan can find it: at seed 0 the first
+    trial draws no such pair, the second does."""
+    profile = BlockProfile((1, 1))
+
+    def keep_larger(x):
+        a, b = (float(m[0, 0].real) for m in x.blocks)
+        keep = [a, 0.0] if a >= b else [0.0, b]
+        return DirectSumElement(profile, [np.array([[v]], dtype=complex) for v in keep])
+
+    oracle = OrderIsoOracle(profile, profile, "eff", keep_larger, lambda y: y)
+    assert is_orthoiso(oracle, trials=1, random_state=0).ok
+    check = is_orthoiso(oracle, trials=2, random_state=0)
+    assert not check.ok
+    assert check.witness["kind"] == "nonzero product collapsed to zero"
+    assert check.witness["direction"] == "forward"
+    assert check.witness["image_product_norm"] == 0.0
+    x, y = check.witness["x"], check.witness["y"]
+    assert max(max_abs(a @ b) for a, b in zip(x.blocks, y.blocks)) > 1e-8
+
+
+def _unqueried_oracle(profile):
+    def refuse(_x):
+        raise AssertionError("the oracle was queried")
+
+    return OrderIsoOracle(profile, profile, "eff", refuse, refuse)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_counts_below_one_are_refused_before_any_query(count):
+    """A check over no samples passes vacuously: at trials=0 the shear map
+    of the CLI's ortho test would read as an orthoisomorphism."""
+    oracle = _unqueried_oracle(BlockProfile((3,)))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        is_orthoiso(oracle, trials=count)
+    with pytest.raises(ValueError, match="n_verify must be at least 1"):
+        DirectSumIsoDecomposer(n_verify=count).fit(oracle)
+    with pytest.raises(ValueError, match="n_verify must be at least 1"):
+        FactorCanonicalRecovery(n_verify=count).fit(oracle)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_selftest(trials=count)
 
 
 def test_effect_decomposer_rejects_half_atom_images():
