@@ -4,7 +4,7 @@ construction and positivity tests, all under one tolerance policy."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -13,10 +13,19 @@ from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian
 
 
+# distinct (matrix, tol) pairs whose eigensystems eigh keeps; one lattice
+# request reads its operands and its result again and again, and a larger
+# memo costs peak memory on wide matrices
+_MEMO_SIZE = 8
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Spectral decomposition of a Hermitian matrix: an eigenbasis plus
     cluster offsets.
+
+    eigh may return one shared EigenSystem for every call on the same
+    matrix (see _solve), so its arrays are read-only.
 
     Attributes
     ----------
@@ -47,12 +56,15 @@ class EigenSystem:
         # np.mean of a single value is 0.0 + value, bit for bit; skipping the
         # call on singleton clusters keeps the bits and saves most of the cost
         if len(self.offsets) == self.n:
-            return self.values + 0.0
-        ends = self.offsets.tolist()
-        return np.array([
-            0.0 + self.values[lo] if hi - lo == 1 else float(np.mean(self.values[lo:hi]))
-            for lo, hi in zip([0] + ends[:-1], ends)
-        ])
+            points = self.values + 0.0
+        else:
+            ends = self.offsets.tolist()
+            points = np.array([
+                0.0 + self.values[lo] if hi - lo == 1 else float(np.mean(self.values[lo:hi]))
+                for lo, hi in zip([0] + ends[:-1], ends)
+            ])
+        points.flags.writeable = False
+        return points
 
     @property
     def column_breakpoints(self) -> np.ndarray:
@@ -102,7 +114,8 @@ def eigh(x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> EigenSy
     give identical outputs because LAPACK is deterministic.
 
     x passes through check_hermitian first, with name in its error
-    messages.
+    messages, on every call. The result may be shared with earlier calls on
+    the same matrix and tol (_solve), so its arrays are read-only.
     """
     return _eigh_hermitian(check_hermitian(x, tol, name), tol)
 
@@ -110,11 +123,23 @@ def eigh(x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> EigenSy
 def _eigh_hermitian(h: np.ndarray, tol: ToleranceConfig) -> EigenSystem:
     """The decomposition step of eigh, for a caller that already holds
     check_hermitian's output, so that the matrix is checked once."""
+    return _solve(h.tobytes(), h.shape[0], tol)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _solve(key: bytes, n: int, tol: ToleranceConfig) -> EigenSystem:
+    """The eigensystem of the n x n matrix whose bytes are key, memoized
+    over the _MEMO_SIZE most recent distinct (matrix, tol) pairs. The key
+    is the matrix itself, so a hit is exact, and a matrix changed in place
+    is solved again. A solve that fails raises, and nothing is kept."""
     try:
-        values, vectors = np.linalg.eigh(h)
+        values, vectors = np.linalg.eigh(np.frombuffer(key, dtype=np.complex128).reshape(n, n))
     except np.linalg.LinAlgError as exc:
         raise SpeclatError(f"eigensolver did not converge: {exc}") from None
-    return EigenSystem(values, vectors, cluster_ends(values, tol.eps_eig))
+    offsets = cluster_ends(values, tol.eps_eig)
+    for a in (values, vectors, offsets):
+        a.flags.writeable = False
+    return EigenSystem(values, vectors, offsets)
 
 
 def split_range(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,9 @@ on generic operands, that rule reads |R_tt| of one QR of the run, so one
 factorization decides the whole run. Like spec_leq, that rule measures
 sines against eps_proj, so x <= x v y and De Morgan's laws hold for nearly
 aligned operands. Since x -> -x reverses the order, infima are the negated
-suprema of the negations.
+suprema of the negations; the eigensystem of -x is that of x read in
+reverse, so an infimum solves no matrix that a supremum of the same
+operands has not, and eigh's memo (linalg._solve) answers both.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ConeError, DimensionMismatchError
 from .family import merged_breakpoints
-from .linalg import EigenSystem, eigh, spectral_sum, split_range
+from .linalg import EigenSystem, _eigh_hermitian, cluster_ends, eigh, spectral_sum, split_range
 from .monotone import MonotoneBijection
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, check_same_dim, max_abs
@@ -51,28 +53,32 @@ def _check_spectrum(values, cone: str, tol: ToleranceConfig, name: str) -> None:
 
 def check_cone(x, cone: str, tol: ToleranceConfig = DEFAULT_TOL, name: str = "element") -> np.ndarray:
     """Validate cone membership (sa / pos / eff) and return the symmetrized
-    matrix. Operations that go on to decompose x read membership from their
-    own eigensystem instead (_cone_eigh)."""
+    matrix. Membership outside 'sa' is read from eigh's memoized
+    eigensystem, so an operation that goes on to decompose the returned
+    matrix solves it no second time."""
     _check_cone_name(cone)
     h = check_hermitian(x, tol, name)
     if cone != SELF_ADJOINT:
-        _check_spectrum(np.linalg.eigvalsh(h), cone, tol, name)
+        _check_spectrum(_eigh_hermitian(h, tol).values, cone, tol, name)
     return h
 
 
-def _cone_eigh(
-    x, cone: str, tol: ToleranceConfig, name: str = "element", negate: bool = False
-) -> EigenSystem:
-    """One validated eigensolve of x, or of -x when negate is set, with the
-    cone membership of x read from that same spectrum."""
+def _cone_eigh(x, cone: str, tol: ToleranceConfig, name: str = "element") -> EigenSystem:
+    """One validated eigensolve of x, with its cone membership read from
+    that same spectrum."""
     _check_cone_name(cone)
-    if negate:
-        # -x has the hermiticity residual of x, and check_hermitian(-x) is
-        # -check_hermitian(x) bit for bit
-        x = -np.asarray(x, dtype=np.complex128)
     es = eigh(x, tol, name)
-    _check_spectrum(-es.values if negate else es.values, cone, tol, name)
+    _check_spectrum(es.values, cone, tol, name)
     return es
+
+
+def _negated(es: EigenSystem, tol: ToleranceConfig) -> EigenSystem:
+    """The eigensystem of -x from that of x: the same columns and values in
+    reverse, negated so that they ascend, and clustered again from the low
+    end as eigh clusters."""
+    # 0.0 - v rather than -v keeps zero eigenvalues unsigned
+    values = 0.0 - es.values[::-1]
+    return EigenSystem(values, es.vectors[:, ::-1], cluster_ends(values, tol.eps_eig))
 
 
 def cone_domain(cone: str) -> tuple[float, float]:
@@ -130,10 +136,10 @@ def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return bool(np.all(worst[ex.columns_at(reps), ey.columns_at(reps)] <= tol.eps_proj))
 
 
-def _validated(xs, cone: str, tol: ToleranceConfig, negate: bool = False) -> list[EigenSystem]:
-    """The eigensystems of the operands (of their negations when negate is
-    set), each validated and checked against the cone once."""
-    systems = [_cone_eigh(x, cone, tol, f"element[{i}]", negate) for i, x in enumerate(xs)]
+def _validated(xs, cone: str, tol: ToleranceConfig) -> list[EigenSystem]:
+    """The eigensystems of the operands, each validated and checked against
+    the cone once."""
+    systems = [_cone_eigh(x, cone, tol, f"element[{i}]") for i, x in enumerate(xs)]
     if not systems:
         raise DimensionMismatchError("supremum/infimum of an empty list")
     check_same_dim(*(es.vectors for es in systems))
@@ -225,11 +231,12 @@ def spec_meet(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) 
 
     The cones 'pos' and 'eff' are sublattices of the self-adjoint lattice,
     so after the cone check the supremum is taken there, where -x lives.
-    Each operand is decomposed once, as -x, and its cone membership is read
-    from the negated spectrum.
+    Each operand is decomposed once, as x (a memo hit after spec_join or
+    spec_leq of the same operand), its cone membership is read from that
+    spectrum, and the eigensystem of -x is x's read in reverse.
     """
     # 0.0 - s rather than -s keeps zero entries unsigned (0.0, not -0.0)
-    return 0.0 - _join(_validated(xs, cone, tol, negate=True), tol)
+    return 0.0 - _join([_negated(es, tol) for es in _validated(xs, cone, tol)], tol)
 
 
 def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -3,10 +3,19 @@ import sys
 import numpy as np
 import pytest
 
+from speclat import linalg
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def empty_eigh_memo():
+    """Each test starts with an empty eigh memo, so that a count of solves
+    sees its own test's matrices only."""
+    linalg._solve.cache_clear()
 
 
 @pytest.fixture

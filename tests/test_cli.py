@@ -41,6 +41,22 @@ def test_order_true_false_and_exit_codes(workdir, capsys):
     assert report["verdicts"][0]["pass"] is False
 
 
+def test_order_solves_each_block_once(workdir, capsys, count_calls):
+    """Loading checks each 'eff' block against the cone through eigh's
+    memo, so the second load of the same document and the order test read
+    the eigensystems the first load solved."""
+    rng = rng_from(3)
+    profile = BlockProfile((2, 3))
+    blocks = [random_with_spectrum(rng, w) for w in ([0.25, 0.5], [0.0, 0.5, 1.0])]
+    emit_element(DirectSumElement(profile, blocks), "eff", workdir / "x.json")
+    solves = count_calls(np.linalg.eigh)
+    spectra = count_calls(np.linalg.eigvalsh)
+    code, report = run_json(capsys, ["order", str(workdir / "x.json"), str(workdir / "x.json")])
+    assert code == 0 and report["verdicts"][0]["pass"] is True
+    assert len(solves) == 2
+    assert spectra == []
+
+
 def test_order_profile_mismatch_is_input_error(workdir, capsys):
     write_diag(workdir / "x.json", [1.0, 2.0])
     write_diag(workdir / "y.json", [1.0, 2.0, 3.0])

@@ -17,7 +17,7 @@ from speclat.directsum import (
 from speclat.errors import ConeError, DimensionMismatchError
 from speclat.family import family_of, merged_breakpoints
 from speclat.order import spec_join, spec_leq
-from speclat.sampling import random_ds_element, random_hermitian
+from speclat.sampling import random_ds_element, random_effect, random_hermitian
 from speclat.validation import check_hermitian, max_abs
 
 
@@ -170,6 +170,21 @@ def test_ds_atom_decompose_validates_and_decomposes_each_block_once(count_calls)
     assert len(hermitian) == 2
     assert len(solves) == 2
     assert spectra == []
+
+
+def test_one_pair_request_solves_each_matrix_once(rng, count_calls):
+    """Join, meet, x <= x v z, x <= z, the family and the parts of x on a
+    one-block pair read three matrices: x, z and the join."""
+    profile = BlockProfile((6,))
+    x, z = (DirectSumElement(profile, [random_effect(rng, 6)]) for _ in range(2))
+    solves = count_calls(np.linalg.eigh)
+    join = ds_spec_join([x, z], "eff")
+    ds_spec_meet([x, z], "eff")
+    assert ds_spec_leq(x, join)
+    ds_spec_leq(x, z)
+    ds_family(x)
+    ds_pos_neg_parts(x)
+    assert len(solves) == 3
 
 
 def test_ds_atom_decompose_cone_errors_name_the_block():

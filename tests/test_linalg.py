@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from speclat.errors import DimensionMismatchError, NonHermitianError
+from speclat import linalg
+from speclat.errors import DimensionMismatchError, NonFiniteError, NonHermitianError
 from speclat.family import merged_breakpoints
 from speclat.linalg import EigenSystem, eigh, is_psd, orthonormal_range, spectral_sum, split_range
 from speclat.sampling import random_hermitian, random_unitary, random_with_spectrum
@@ -50,6 +51,56 @@ def test_eigh_clusters_group_repeated_eigenvalues():
 def test_eigh_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_eigh_solves_equal_bytes_once(rng, count_calls):
+    x = random_hermitian(rng, 4)
+    solves = count_calls(np.linalg.eigh)
+    first = eigh(x)
+    again = eigh(x.copy(), name="copy")
+    assert len(solves) == 1
+    assert again.vectors.tobytes() == first.vectors.tobytes()
+    assert again.offsets.tolist() == first.offsets.tolist()
+
+
+def test_eigh_solves_a_changed_matrix_or_tol_again(rng, count_calls):
+    x = random_hermitian(rng, 4)
+    solves = count_calls(np.linalg.eigh)
+    eigh(x)
+    x[0, 0] += 1.0
+    es = eigh(x)
+    assert len(solves) == 2
+    assert max_abs(spectral_sum(es.vectors, es.values) - x) <= 1e-12
+    eigh(x, ToleranceConfig(eps_eig=1e-6))
+    assert len(solves) == 3
+
+
+def test_eigh_arrays_are_read_only(rng):
+    """Every array that a memo hit hands out again is read-only;
+    column_breakpoints of a tied system is built afresh on each read."""
+    es = eigh(random_with_spectrum(rng, [0.0, 0.0, 1.0]))
+    for a in (es.values, es.vectors, es.offsets, es.breakpoints):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+
+
+def test_eigh_refuses_bad_input_on_every_call_under_its_own_name():
+    nan = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    for name in ("a", "b"):
+        with pytest.raises(NonFiniteError, match=f"^{name} has entries"):
+            eigh(nan, name=name)
+        with pytest.raises(NonHermitianError, match=f"^{name} is not Hermitian"):
+            eigh(skew, name=name)
+
+
+def test_eigh_solves_the_first_matrix_again_after_memo_size_others(count_calls):
+    solves = count_calls(np.linalg.eigh)
+    xs = [np.diag([float(i), 0.0]).astype(complex) for i in range(linalg._MEMO_SIZE + 1)]
+    for x in xs:
+        eigh(x)
+    eigh(xs[0])
+    assert len(solves) == linalg._MEMO_SIZE + 2
 
 
 def test_eigh_involutive_many(rng):

@@ -26,7 +26,7 @@ from speclat.sampling import (
     random_unitary,
     random_with_spectrum,
 )
-from speclat.tolerances import ToleranceConfig
+from speclat.tolerances import DEFAULT_TOL, ToleranceConfig
 from speclat.validation import max_abs, proj_rank
 
 # Loewner-true / spectral-false separation pair
@@ -166,6 +166,19 @@ def test_join_and_meet_match_projection_definition_at_wide_sizes(rng):
             assert max_abs(spec_join(xs) - _join_by_definition(xs)) <= 1e-12
             expected = 0.0 - _join_by_definition([-m for m in xs])
             assert max_abs(spec_meet(xs) - expected) <= 1e-12
+
+
+def test_negated_eigensystem_clusters_as_eigh_of_the_negation(rng):
+    """The infimum reads -x's eigensystem from x's. Its clusters are formed
+    afresh from the low end, so on a chain of steps inside eps_eig (0, 6e-9,
+    1.2e-8) they match eigh(-x) and not x's clusters reversed."""
+    spectra = [[0.0, 6e-9, 1.2e-8], [0.0, 0.0, 1.0], [-1.0, 0.5, 0.5, 2.0], rng.standard_normal(6)]
+    for w in spectra:
+        x = random_with_spectrum(rng, np.asarray(w))
+        got, expected = order._negated(eigh(x), DEFAULT_TOL), eigh(-x)
+        assert got.offsets.tolist() == expected.offsets.tolist()
+        assert max_abs(got.values - expected.values) <= 1e-14
+        assert max_abs(spectral_sum(got.vectors, got.values) + x) <= 1e-14
 
 
 def test_join_splits_only_the_entering_eigenvectors(rng, monkeypatch):
