@@ -48,7 +48,17 @@ class BlockProfile:
 
 
 class DirectSumElement:
-    """A self-adjoint element (x_j) of a direct sum of matrix factors."""
+    """A self-adjoint element (x_j) of a direct sum of matrix factors.
+
+    Its blocks are exactly Hermitian and finite, and operations read them
+    without checking them again. validate=True checks each block once, here,
+    and stores check_hermitian's output, so a block within eps_proj of
+    Hermitian is kept symmetrized and a non-finite one is refused.
+    validate=False stores the blocks as given: it is the caller's promise
+    that they already are exactly Hermitian and finite, as spectral_sum's
+    output, c * 1, zeros, and sums, differences, negations and real
+    multiples of such blocks are.
+    """
 
     def __init__(
         self, profile: BlockProfile, blocks, tol: ToleranceConfig = DEFAULT_TOL,
@@ -64,7 +74,7 @@ class DirectSumElement:
             if b.shape != (d, d):
                 raise DimensionMismatchError(f"blocks[{j}] has shape {b.shape}, expected ({d},{d})")
             if validate:
-                check_hermitian(b, tol, name=f"blocks[{j}]")
+                blocks[j] = check_hermitian(b, tol, name=f"blocks[{j}]")
         self.blocks = tuple(blocks)
 
     @classmethod
@@ -114,7 +124,12 @@ def _check_profiles(a: BlockProfile, b: BlockProfile) -> None:
 
 def embed_block(profile: BlockProfile, j: int, block) -> DirectSumElement:
     """The element with the given block in slot j and zeros elsewhere."""
-    block = check_hermitian(block, name=f"blocks[{j}]")
+    return _embedded(profile, j, check_hermitian(block, name=f"blocks[{j}]"))
+
+
+def _embedded(profile: BlockProfile, j: int, block: np.ndarray) -> DirectSumElement:
+    """embed_block for a block that is already exactly Hermitian and finite,
+    such as an element's block, which is not checked again."""
     blocks = [
         block if i == j else np.zeros((d, d), dtype=np.complex128)
         for i, d in enumerate(profile.dims)
@@ -125,7 +140,9 @@ def embed_block(profile: BlockProfile, j: int, block) -> DirectSumElement:
 def central_atoms(profile: BlockProfile) -> list[DirectSumElement]:
     """The atomic central projections z_j: identity in slot j, zero
     elsewhere. They sum to the identity and are mutually orthogonal."""
-    return [embed_block(profile, j, np.eye(d)) for j, d in enumerate(profile.dims)]
+    return [
+        _embedded(profile, j, np.eye(d, dtype=np.complex128)) for j, d in enumerate(profile.dims)
+    ]
 
 
 def ds_family(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL) -> list[SpectralFamily]:
@@ -172,11 +189,12 @@ def ds_pos_neg_parts(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL):
 
 def scalar_block(block: np.ndarray, threshold: float, c: float | None = None) -> float | None:
     """c when the block is within threshold of c * identity, entry by entry,
-    else None; c defaults to the block's mean diagonal entry."""
+    else None (also for a NaN entry); c defaults to the block's mean
+    diagonal entry."""
     d = block.shape[0]
     if c is None:
         c = float(np.real(np.trace(block))) / d
-    return None if max_abs(block - c * np.eye(d)) > threshold else c
+    return c if max_abs(block - c * np.eye(d)) <= threshold else None
 
 
 def ds_central_scalars(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL) -> list[float] | None:

@@ -5,7 +5,7 @@ isomorphisms, and blockwise direct-sum isomorphisms with a permutation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,19 +26,29 @@ class ProjectionIsomorphism:
     Acts by p -> projection onto T(range p); when antilinear, coordinates
     are conjugated before T is applied. Order is preserved in both
     directions because T is a bijection of C^n.
+
+    When T is a multiple of a unitary, T* T = gram * 1, and the blocks of
+    an orthoisomorphism have this shape (a Jordan map's u, or c u). The
+    construction's SVD decides it once: the singular values agree to
+    rounding, s_max - s_min <= 16 n eps s_max. That is a floating-point
+    constant, not a tolerance; it only picks the faster of two correct
+    paths in _transported_spectrum. gram is None for any other T.
     """
 
     T: np.ndarray
     antilinear: bool = False
+    gram: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.T, dtype=np.complex128)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionMismatchError(f"T must be square, got {t.shape}")
-        smin = np.linalg.svd(t, compute_uv=False)[-1]
-        if smin <= DEFAULT_TOL.eps_proj:
-            raise SpeclatError(f"T is numerically singular (smallest sv {smin:.3e})")
+        s = np.linalg.svd(t, compute_uv=False)
+        if s[-1] <= DEFAULT_TOL.eps_proj:
+            raise SpeclatError(f"T is numerically singular (smallest sv {s[-1]:.3e})")
         object.__setattr__(self, "T", t)
+        unitary = s[0] - s[-1] <= 16 * len(s) * np.finfo(float).eps * s[0]
+        object.__setattr__(self, "gram", float(s @ s) / len(s) if unitary else None)
 
     @property
     def n(self) -> int:
@@ -96,13 +106,17 @@ def _transported_spectrum(tau: ProjectionIsomorphism, es: EigenSystem, values) -
     The cumulative ranges of x are the prefix spans of its eigenbasis V, so
     their images under tau are the prefix spans of T V (coordinates
     conjugated first when antilinear). One unpivoted QR orthonormalizes all
-    prefixes at once, and the transported element is Q diag(values) Q*. A
-    scalar element c * 1 needs none of this: tau(1) = 1, so it maps to
-    f(c) * 1 exactly, which FactorCanonicalIso.apply returns without
-    calling here.
+    prefixes at once, and the transported element is Q diag(values) Q*.
+    When T* T = gram * 1 (tau.gram, a Jordan-shaped block), T V is already
+    orthogonal with columns of squared norm gram, so the element is
+    T V diag(values / gram) (T V)* with no QR. A scalar element c * 1
+    needs none of this: tau(1) = 1, so it maps to f(c) * 1 exactly, which
+    FactorCanonicalIso._image returns without calling here.
     """
-    basis = es.vectors.conj() if tau.antilinear else es.vectors
-    q, _ = np.linalg.qr(tau.T @ basis)
+    basis = tau.T @ (es.vectors.conj() if tau.antilinear else es.vectors)
+    if tau.gram is not None:
+        return spectral_sum(basis, values / tau.gram)
+    q, _ = np.linalg.qr(basis)
     return spectral_sum(q, values)
 
 
@@ -138,7 +152,12 @@ class FactorCanonicalIso:
         return endpoint_deviations(self.f, self.cone)
 
     def apply(self, x, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-        """Theta_tau(f(x)) after one validation of x.
+        """Theta_tau(f(x)) after one validation of x."""
+        return self._image(check_hermitian(x, tol, "element"), tol)
+
+    def _image(self, h: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+        """Theta_tau(f(h)) for an exactly Hermitian, finite h, such as
+        check_hermitian's output or a DirectSumElement's block.
 
         An element that is exactly c * 1, entry for entry, maps to
         f(c) * 1 (tau fixes the identity) with no eigensolve. Entries
@@ -148,11 +167,10 @@ class FactorCanonicalIso:
         that eigensystem before the spectrum is transported. Values that f
         sends out of the floats (t^5 at 1e100) are refused on both paths.
         """
-        h = check_hermitian(x, tol, "element")
         n = h.shape[0]
         c = 0.0 + h[0, 0].real  # 0.0 + keeps a zero scalar unsigned, as breakpoints are
         # c * 1 needs no eigensystem: its spectrum is its diagonal
-        scalar = n == 1 or (h[1, 0] == 0 and h[1, 1] == c and np.array_equal(h, c * np.eye(n)))
+        scalar = n == 1 or (h[1, 0] == 0 and h[1, 1] == c and (h == c * np.eye(n)).all())
         es = None if scalar else _eigh_hermitian(h, tol)
         _check_spectrum(h.diagonal().real if scalar else es.values, self.cone, tol, "element")
         check_scalar_map(self._endpoint_deviations, self.cone, tol)
@@ -222,7 +240,8 @@ class DirectSumIso:
 
     def apply(self, x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumElement:
         _check_profiles(self.domain_profile, x.profile)
-        out = [self.blocks[j].apply(x.blocks[j], tol) for j in self.pi]
+        # an element's blocks were validated when it was built
+        out = [self.blocks[j]._image(x.blocks[j], tol) for j in self.pi]
         return DirectSumElement(self.codomain_profile, out, validate=False)
 
     def inverse(self) -> "DirectSumIso":

@@ -188,7 +188,6 @@ def orthonormal_range(cols, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def is_psd(x, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Membership test for the positive cone: smallest eigenvalue >= -eps_proj."""
-    h = check_hermitian(x, tol)
-    w = np.linalg.eigvalsh(h)
-    return bool(w[0] >= -tol.eps_proj)
+    """Membership test for the positive cone: smallest eigenvalue >= -eps_proj,
+    read from eigh's memoized eigensystem."""
+    return bool(eigh(x, tol).values[0] >= -tol.eps_proj)

@@ -90,15 +90,15 @@ class MonotoneBijection:
             y = np.sign(t) * np.abs(t) ** self.exponent
         else:
             knots, values = self.knots, self.values
-            # asarray: a 0-d input stays a 0-d array, as the tail passes return it
-            y = np.asarray(np.interp(t, knots, values))
-            # the tails change nothing when every input lies within the
-            # knots; min and max propagate NaN, which fails both comparisons,
-            # so a NaN entry still sends the other entries through the tails
+            # asarray: a 0-d input stays a 0-d array, as the tail passes
+            # return it. Inputs outside the knots interpolate to NaN, so one
+            # NaN test finds them; a NaN input is NaN on either path. A 0-d
+            # input is compared directly, which costs less than that test
+            y = np.asarray(np.interp(t, knots, values, left=np.nan, right=np.nan))
             if t.ndim == 0:
                 inside = knots[0] <= float(t) <= knots[-1]
             else:
-                inside = t.size == 0 or (t.min() >= knots[0] and t.max() <= knots[-1])
+                inside = not np.isnan(y).any()
             if not inside:
                 y = np.where(t < knots[0], values[0] + self.left_slope * (t - knots[0]), y)
                 y = np.where(t > knots[-1], values[-1] + self.right_slope * (t - knots[-1]), y)

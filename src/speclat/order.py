@@ -41,10 +41,11 @@ def _check_cone_name(cone: str) -> None:
 
 
 def _check_spectrum(values, cone: str, tol: ToleranceConfig, name: str) -> None:
-    """Refuse eigenvalues outside the cone."""
+    """Refuse eigenvalues outside the cone. Every caller passes ascending
+    values, so the ends are the extremes."""
     if cone == SELF_ADJOINT:
         return
-    lo, hi = values.min(), values.max()
+    lo, hi = values[0], values[-1]
     if lo < -tol.eps_proj:
         raise ConeError(f"{name} has eigenvalue {lo:.3e} < 0, outside cone {cone!r}")
     if cone == EFFECT and hi > 1.0 + tol.eps_proj:

@@ -19,12 +19,12 @@ import numpy as np
 from .directsum import (
     BlockProfile,
     DirectSumElement,
+    _embedded,
     central_atoms,
     ds_central_scalars,
-    embed_block,
     scalar_block,
 )
-from .errors import ConeError, DecompositionError, DimensionMismatchError, NotMonotoneError
+from .errors import ConeError, DecompositionError, DimensionMismatchError, NotMonotoneError, SpeclatError
 from .isos import FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
 from .linalg import eigh, spectral_sum
 from .monotone import MonotoneBijection
@@ -79,7 +79,7 @@ def reassembly_residuals(
     Draws `samples` elements with random_ds_element(rng, domain profile,
     cone). Codomain slot k of a rebuilt image holds the image of block
     j = permutation[k] under block_oracles[j], plus block k of the central
-    shift (None off the self-adjoint cone).
+    shift (None off the self-adjoint cone). A NaN residual stays NaN.
     """
     residuals = [0.0] * len(oracle.codomain_profile)
     for _ in range(samples):
@@ -89,7 +89,8 @@ def reassembly_residuals(
             block = _factor_image(block_oracles[j], x.blocks[j])
             if shift is not None:
                 block = block + shift.blocks[k]
-            residuals[k] = max(residuals[k], max_abs(block - expected.blocks[k]))
+            # np.maximum keeps a NaN, where Python's max(0.0, nan) is 0.0
+            residuals[k] = float(np.maximum(residuals[k], max_abs(block - expected.blocks[k])))
     return residuals
 
 
@@ -198,8 +199,9 @@ class FactorCanonicalRecovery:
         worst = 0.0
         for _ in range(self.n_verify):
             x = random_effect(rng, n)
-            worst = max(worst, max_abs(canonical.apply(x, tol) - _factor_image(oracle, x)))
-        if worst > threshold:
+            r = max_abs(canonical.apply(x, tol) - _factor_image(oracle, x))
+            worst = float(np.maximum(worst, r))  # NaN when any residual is
+        if not worst <= threshold:
             raise DecompositionError(
                 f"verification residual {worst:.3e} exceeds {threshold:.1e}: the scalar "
                 "action is outside the piecewise-linear class at this grid resolution, "
@@ -314,12 +316,12 @@ class DirectSumIsoDecomposer:
             single_cod = BlockProfile((cod.dims[k],))
 
             def fwd(x: DirectSumElement) -> DirectSumElement:
-                image = forward(embed_block(dom, j, x.blocks[0]))
-                return DirectSumElement(single_cod, [image.blocks[k]], validate=False)
+                image = forward(_embedded(dom, j, x.blocks[0]))
+                return _validated_image(single_cod, image.blocks[k])
 
             def inv(y: DirectSumElement) -> DirectSumElement:
-                pre = backward(embed_block(cod, k, y.blocks[0]))
-                return DirectSumElement(single_dom, [pre.blocks[j]], validate=False)
+                pre = backward(_embedded(cod, k, y.blocks[0]))
+                return _validated_image(single_dom, pre.blocks[j])
 
             return OrderIsoOracle(single_dom, single_cod, oracle.cone, fwd, inv)
 
@@ -328,8 +330,8 @@ class DirectSumIsoDecomposer:
         per_block = reassembly_residuals(
             oracle, rng_from(self.random_state), self.n_verify, pi, oracles, shift
         )
-        worst = max(per_block)
-        if worst > tol.eps_recon:
+        worst = float(np.max(per_block))  # NaN when any residual is
+        if not worst <= tol.eps_recon:
             raise DecompositionError(
                 f"reassembly residual {worst:.3e} exceeds {tol.eps_recon:.1e}: the map "
                 "does not act blockwise, so it is not a spectral order isomorphism"
@@ -342,6 +344,16 @@ class DirectSumIsoDecomposer:
         self.block_residuals_ = tuple(per_block)
         self.flags_ = ("type-I2",) if 2 in dom.dims else ()
         return self
+
+
+def _validated_image(profile: BlockProfile, block) -> DirectSumElement:
+    """A black box's image block as an element, validated once: an image
+    that is not a finite Hermitian matrix of the slot's dimension shows
+    that the map is not a spectral order isomorphism."""
+    try:
+        return DirectSumElement(profile, [block])
+    except SpeclatError as exc:  # not Hermitian, not finite, or not the slot's shape
+        raise DecompositionError(f"the map's image is not a self-adjoint element: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -363,7 +375,8 @@ def _block_orthogonal_pair(rng, dim: int):
 
 
 def _product_norm(x: DirectSumElement, y: DirectSumElement) -> float:
-    return max(max_abs(a @ b) for a, b in zip(x.blocks, y.blocks))
+    """Largest entry of any block of x y; NaN when an entry is."""
+    return float(np.max([max_abs(a @ b) for a, b in zip(x.blocks, y.blocks)]))
 
 
 def is_orthoiso(
@@ -378,7 +391,9 @@ def is_orthoiso(
     when its dimension allows, across factors otherwise) and pushed through
     the map in both directions; pairs with a clearly nonzero product guard
     the converse. A product counts as zero when no entry of any block
-    exceeds 1000 * eps_proj. The first violation is returned as a witness.
+    exceeds 1000 * eps_proj; a NaN entry makes it nonzero, so an image
+    with one breaks the zero-product test. The first violation is returned
+    as a witness.
     A trial count below 1 raises ValueError.
     """
     _check_count(trials, "trials")
@@ -392,12 +407,12 @@ def is_orthoiso(
         if wide and (not cross or rng.uniform() < 0.7):
             j = wide[int(rng.integers(len(wide)))]
             a, b = _block_orthogonal_pair(rng, profile.dims[j])
-            return embed_block(profile, j, a), embed_block(profile, j, b)
+            return _embedded(profile, j, a), _embedded(profile, j, b)
         if cross:
             j1, j2 = rng.choice(len(profile), size=2, replace=False)
             return (
-                embed_block(profile, int(j1), random_effect(rng, profile.dims[int(j1)])),
-                embed_block(profile, int(j2), random_effect(rng, profile.dims[int(j2)])),
+                _embedded(profile, int(j1), random_effect(rng, profile.dims[int(j1)])),
+                _embedded(profile, int(j2), random_effect(rng, profile.dims[int(j2)])),
             )
         return None
 
@@ -414,7 +429,7 @@ def is_orthoiso(
         if pair is not None:
             fx, fy = apply(pair[0]), apply(pair[1])
             norm = _product_norm(fx, fy)
-            if norm > zero_bound:
+            if not norm <= zero_bound:
                 return {
                     "direction": direction,
                     "kind": "zero product not preserved",
@@ -426,7 +441,7 @@ def is_orthoiso(
         if pair is not None:
             fx, fy = apply(pair[0]), apply(pair[1])
             norm = _product_norm(fx, fy)
-            if norm <= zero_bound:
+            if not norm > zero_bound:
                 return {
                     "direction": direction,
                     "kind": "nonzero product collapsed to zero",

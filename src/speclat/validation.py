@@ -36,12 +36,17 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def check_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Validate hermiticity within eps_proj and return the exactly
-    symmetrized matrix (A + A*)/2. Entries that are not finite are refused."""
+    symmetrized matrix (A + A*)/2, which is A itself when A is exactly
+    Hermitian. Entries that are not finite are refused."""
     m = as_square_matrix(a, name)
     mh = m.conj().T
-    residual = max_abs(m - mh)
-    # a NaN or infinite entry makes the residual NaN or infinite, so the
-    # finiteness test runs only when this one fails
+    diff = m - mh
+    # a NaN or infinite entry leaves a NaN or infinite entry in diff
+    # (inf - inf is NaN), so an all-zero diff also shows that every entry
+    # is finite, and the finiteness test runs only when the residual fails
+    if not diff.any():
+        return m
+    residual = max_abs(diff)
     if not residual <= tol.eps_proj:
         if not np.isfinite(m).all():
             raise NonFiniteError(f"{name} has entries that are not finite (NaN or infinite)")

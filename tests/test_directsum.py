@@ -14,8 +14,10 @@ from speclat.directsum import (
     ds_spec_meet,
     embed_block,
 )
-from speclat.errors import ConeError, DimensionMismatchError
+from speclat.errors import ConeError, DimensionMismatchError, NonFiniteError
 from speclat.family import family_of, merged_breakpoints
+from speclat.isos import DirectSumIso, FactorCanonicalIso
+from speclat.linalg import eigh
 from speclat.order import spec_join, spec_leq
 from speclat.sampling import random_ds_element, random_effect, random_hermitian
 from speclat.validation import check_hermitian, max_abs
@@ -198,3 +200,38 @@ def test_ds_atom_decompose_cone_errors_name_the_block():
 def test_empty_element_list_is_refused(op):
     with pytest.raises(DimensionMismatchError, match="empty list"):
         op([], "eff")
+
+
+def test_an_element_stores_its_blocks_symmetrized():
+    """A block off Hermitian by no more than eps_proj is kept as
+    (b + b*) / 2, so the element's blocks are exactly Hermitian; an exactly
+    Hermitian block is kept as it is."""
+    profile = BlockProfile((2, 2))
+    near = np.array([[1.0, 0.5 + 5e-10j], [0.5, 2.0 + 1e-10j]])
+    exact = np.array([[0.0, 1j], [-1j, 3.0]])
+    x = DirectSumElement(profile, [near, exact])
+    assert x.blocks[0].tobytes() == ((near + near.conj().T) / 2).tobytes()
+    assert np.array_equal(x.blocks[0], x.blocks[0].conj().T)
+    assert x.blocks[1].tobytes() == exact.astype(complex).tobytes()
+
+
+# inf - inf in the check warns before the refusal
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([[1.0, np.inf], [np.inf, 1.0]]), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])],
+    ids=["inf-offdiagonal", "nan-diagonal", "inf-diagonal"],
+)
+def test_non_finite_blocks_are_refused_at_every_entry_point(bad):
+    """An exact-Hermitian test by == would take [[1, inf], [inf, 1]] (inf
+    equals inf); the difference m - m* does not, since inf - inf is NaN."""
+    with pytest.raises(NonFiniteError):
+        DirectSumElement(BlockProfile((2, 2)), [np.eye(2), bad])
+    with pytest.raises(NonFiniteError):
+        FactorCanonicalIso.identity(2).apply(bad)
+    with pytest.raises(NonFiniteError):
+        DirectSumIso.identity(BlockProfile((2,))).apply(DirectSumElement(BlockProfile((2,)), [bad]))
+    with pytest.raises(NonFiniteError):
+        eigh(bad)
+    with pytest.raises(NonFiniteError):
+        check_hermitian(bad)

@@ -450,3 +450,86 @@ def test_lattice_operations_validate_and_decompose_each_operand_once(monkeypatch
         operation()
         assert len(hermitian_calls) == 2
     assert eigvalsh_calls == []
+
+
+def _qr_reference(tau, es, values):
+    """Theta_tau through one QR of T V, as every block was transported
+    before Jordan-shaped blocks skipped it."""
+    q, _ = np.linalg.qr(tau.T @ (es.vectors.conj() if tau.antilinear else es.vectors))
+    return linalg.spectral_sum(q, values)
+
+
+def _jordan_shaped_taus(rng, n):
+    """Unitary, antiunitary, 2.5 * unitary and inverse-built blocks."""
+    u = random_unitary(rng, n)
+    return [
+        ProjectionIsomorphism(u),
+        ProjectionIsomorphism(u, antilinear=True),
+        ProjectionIsomorphism(2.5 * u),
+        ProjectionIsomorphism(3.0 * random_unitary(rng, n), antilinear=True).inverse(),
+        JordanIso(random_unitary(rng, n), transpose=True).as_projection_iso(),
+    ]
+
+
+def test_jordan_shaped_blocks_transport_with_no_qr(rng, count_calls):
+    """A block whose T is a multiple of a unitary makes no QR; a shear
+    makes one."""
+    f = MonotoneBijection.piecewise_linear([0.0, 0.5, 1.0], [0.0, 0.2, 1.0])
+    x = random_effect(rng, 3)
+    isos = [FactorCanonicalIso(f, tau, "eff") for tau in _jordan_shaped_taus(rng, 3)]
+    shear = FactorCanonicalIso(f, ProjectionIsomorphism(SHEAR), "eff")
+    qrs = count_calls(np.linalg.qr)
+    for iso in isos:
+        iso.apply(x)
+    assert qrs == []
+    shear.apply(x)
+    assert len(qrs) == 1
+
+
+def test_jordan_shaped_blocks_agree_with_the_qr_path(rng):
+    """T V / sqrt(gram) is orthonormal to rounding, so the QR-free image
+    agrees with the QR path within 1e-14 * max(1, max |image|), at
+    n = 1 to 16 on every cone. The 16 n eps rule takes every such block."""
+    maps = {
+        "sa": MonotoneBijection.power(3.0),
+        "pos": MonotoneBijection.piecewise_linear([0.0, 0.5, 2.0], [0.0, 0.2, 1.5]),
+        "eff": MonotoneBijection.piecewise_linear([0.0, 0.3, 1.0], [0.0, 0.6, 1.0]),
+    }
+    for n in range(1, 17):
+        taus = _jordan_shaped_taus(rng, n)
+        assert all(tau.gram is not None for tau in taus)
+        for cone, f in maps.items():
+            x = random_hermitian(rng, n) if cone == "sa" else random_effect(rng, n)
+            es = eigh(x)
+            values = f(es.column_breakpoints)
+            for tau in taus:
+                got = _transported_spectrum(tau, es, values)
+                if n > 1:
+                    assert got.tobytes() == FactorCanonicalIso(f, tau, cone).apply(x).tobytes()
+                assert max_abs(got - _qr_reference(tau, es, values)) <= 1e-14 * max(1.0, max_abs(got))
+
+
+def test_shear_blocks_keep_the_qr_path_bit_for_bit(rng):
+    f = MonotoneBijection.power(3.0)
+    for tau in (ProjectionIsomorphism(SHEAR), ProjectionIsomorphism(SHEAR, antilinear=True)):
+        assert tau.gram is None
+        for _ in range(5):
+            x = random_hermitian(rng, 3)
+            es = eigh(x)
+            expected = _qr_reference(tau, es, f(es.column_breakpoints))
+            assert FactorCanonicalIso(f, tau, "sa").apply(x).tobytes() == expected.tobytes()
+
+
+def test_a_block_decides_its_shape_once(rng, count_calls):
+    """The SVD that construction runs to refuse a singular T also decides
+    whether T* T = gram * 1; applying the block runs no second one."""
+    u = random_unitary(rng, 4)
+    svds = count_calls(np.linalg.svd)
+    taus = [ProjectionIsomorphism(2.5 * u), ProjectionIsomorphism(np.diag([1.0, 2.0, 1.0, 1.0]))]
+    assert len(svds) == 2
+    assert abs(taus[0].gram - 6.25) <= 1e-14 and taus[1].gram is None
+    for tau in taus:
+        iso = FactorCanonicalIso(MonotoneBijection.identity(), tau)
+        for _ in range(3):
+            iso.apply(random_hermitian(rng, 4))
+    assert len(svds) == 2

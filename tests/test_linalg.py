@@ -7,7 +7,7 @@ from speclat.family import merged_breakpoints
 from speclat.linalg import EigenSystem, eigh, is_psd, orthonormal_range, spectral_sum, split_range
 from speclat.sampling import random_hermitian, random_unitary, random_with_spectrum
 from speclat.tolerances import ToleranceConfig
-from speclat.validation import max_abs
+from speclat.validation import check_hermitian, max_abs
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -169,6 +169,28 @@ def test_is_psd_constructed(rng):
     for _ in range(50):
         b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert is_psd(b.conj().T @ b)
+
+
+def test_is_psd_reads_the_memoized_eigensystem(rng, count_calls):
+    """is_psd solves through eigh's memo, as check_cone does, so a matrix
+    already decomposed is not solved again and eigvalsh is never called."""
+    x = random_hermitian(rng, 4)
+    eigvalsh = count_calls(np.linalg.eigvalsh)
+    solves = count_calls(np.linalg.eigh)
+    eigh(x)
+    assert is_psd(x) == (eigh(x).values[0] >= -ToleranceConfig().eps_proj)
+    assert eigvalsh == [] and len(solves) == 1
+
+
+def test_check_hermitian_returns_an_exactly_hermitian_input_itself(rng):
+    """An exactly Hermitian matrix is its own symmetrization, so it is
+    returned as it is, with no copy; any other input is symmetrized."""
+    x = random_hermitian(rng, 4)
+    assert check_hermitian(x) is x
+    near = x.copy()
+    near[0, 1] += 1e-12
+    got = check_hermitian(near)
+    assert got is not near and got.tobytes() == ((near + near.conj().T) / 2).tobytes()
 
 
 def test_is_psd_matches_min_eigenvalue(rng):

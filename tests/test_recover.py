@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from speclat.directsum import BlockProfile, DirectSumElement, ds_atom_scalar_decompose, embed_block
+from speclat.directsum import (
+    BlockProfile,
+    DirectSumElement,
+    ds_atom_scalar_decompose,
+    ds_central_scalars,
+    embed_block,
+)
 from speclat.errors import DecompositionError, DimensionMismatchError
 from speclat.isos import (
     DirectSumIso,
@@ -415,11 +421,12 @@ def test_reassembly_residuals_reproduce_the_decomposer_verification(rng, cone):
 
 
 def test_reassembly_validates_each_block_once(count_calls):
-    """One sample over profile (2, 3) runs check_hermitian 8 times: once
-    per block of the oracle's image of it (2), and for each codomain slot
-    once where the restricted oracle embeds the block and once per block
-    of the full image (3 per slot). random_ds_element draws exactly
-    Hermitian blocks, so the sample itself is not checked."""
+    """One sample over profile (2, 3) runs check_hermitian 2 times: once
+    per codomain slot, where the restricted oracle takes the black box's
+    image block into an element (1 per slot). random_ds_element draws
+    exactly Hermitian blocks, and the blocks of an element are not checked
+    again, so neither the sample, nor its embedding in one slot, nor an
+    iso's image of either is checked."""
     import speclat.validation
 
     profile = BlockProfile((2, 3))
@@ -427,4 +434,86 @@ def test_reassembly_validates_each_block_once(count_calls):
     dec = DirectSumIsoDecomposer(n_verify=1, random_state=0).fit(oracle)
     checks = count_calls(speclat.validation.check_hermitian)
     reassembly_residuals(oracle, rng_from(0), 1, dec.permutation_, dec.block_oracles_, dec.shift_)
-    assert len(checks) == 8
+    assert len(checks) == 2
+
+
+def _nan_element(profile):
+    """A black box's answer with NaN blocks, which no check has seen."""
+    blocks = [np.full((d, d), np.nan, dtype=complex) for d in profile.dims]
+    return DirectSumElement(profile, blocks, validate=False)
+
+
+@pytest.mark.parametrize("cone", ["eff", "pos", "sa"])
+def test_decomposer_refuses_nan_images_off_the_center(cone):
+    """An oracle that answers central queries as an iso does and every other
+    query with NaN blocks matches every central atom, so only the
+    reassembly can refuse it. Python's max(0.0, nan) is 0.0 and nan > bound
+    is False, so such an oracle passed with max_residual_ 0.0."""
+    profile = BlockProfile((2, 3))
+    iso = random_direct_sum_iso(rng_from(4), profile, cone, fix_zero=(cone == "sa"))
+    base = OrderIsoOracle.from_iso(iso)
+
+    def central_only(apply, profile):
+        def query(x):
+            return apply(x) if ds_central_scalars(x) is not None else _nan_element(profile)
+
+        return query
+
+    oracle = OrderIsoOracle(
+        profile, iso.codomain_profile, cone,
+        central_only(base.forward, iso.codomain_profile), central_only(base.inverse, profile),
+    )
+    with pytest.raises(DecompositionError):
+        DirectSumIsoDecomposer(n_verify=5, random_state=0).fit(oracle)
+
+
+def test_decomposer_refuses_a_nan_residual():
+    """Images whose blocks are finite one slot at a time, but NaN for an
+    element supported on both slots, reach the reassembly residual itself."""
+    profile = BlockProfile((2, 3))
+    base = OrderIsoOracle.from_iso(random_direct_sum_iso(rng_from(5), profile, "eff"))
+
+    def fwd(x):
+        supported = sum(max_abs(b) > 0 for b in x.blocks)
+        return base.forward(x) if supported < 2 else _nan_element(base.codomain_profile)
+
+    oracle = OrderIsoOracle(profile, base.codomain_profile, "eff", fwd, base.inverse)
+    with pytest.raises(DecompositionError, match="reassembly residual nan"):
+        DirectSumIsoDecomposer(n_verify=5, random_state=0).fit(oracle)
+
+
+def test_canonical_recovery_refuses_nan_verification_images():
+    """The oracle answers the recovery's own queries (multiples of the
+    identity and projections) as an iso does, and returns NaN for the
+    random effects of the verification."""
+    iso = FactorCanonicalIso(
+        MonotoneBijection.piecewise_linear([0.0, 0.5, 1.0], [0.0, 0.3, 1.0]),
+        ProjectionIsomorphism(random_unitary(rng_from(6), 2)),
+        "eff",
+    )
+    base = single_factor_oracle(iso)
+    profile = base.domain_profile
+
+    def fwd(x):
+        m = x.blocks[0]
+        if max_abs(m @ m - m) <= 1e-9 or ds_central_scalars(x) is not None:
+            return base.forward(x)
+        return _nan_element(profile)
+
+    oracle = OrderIsoOracle(profile, profile, "eff", fwd, base.inverse)
+    with pytest.raises(DecompositionError, match="verification residual nan"):
+        FactorCanonicalRecovery(grid_points=17, n_verify=5, random_state=0).fit(oracle)
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3)])
+def test_is_orthoiso_refuses_nan_images(dims):
+    """NaN fails both product tests (nan > bound and nan <= bound are both
+    False), so an oracle that answers NaN passed every trial."""
+    profile = BlockProfile(dims)
+    oracle = OrderIsoOracle(
+        profile, profile, "eff", lambda x: _nan_element(profile), lambda y: _nan_element(profile)
+    )
+    check = is_orthoiso(oracle, trials=20, random_state=0)
+    assert not check.ok
+    assert check.witness["direction"] == "forward"
+    assert np.isnan(check.witness["image_product_norm"])
