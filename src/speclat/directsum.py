@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeError, DimensionMismatchError
+from .errors import ConeError, DimensionMismatchError, NonFiniteError
 from .family import SpectralFamily, family_of
 from .linalg import spectral_sum
 from .order import EFFECT, POSITIVE, _cone_eigh, pos_neg_parts, spec_join, spec_leq, spec_meet
@@ -199,8 +199,11 @@ def scalar_block(block: np.ndarray, threshold: float, c: float | None = None) ->
 
 def ds_central_scalars(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL) -> list[float] | None:
     """Per-block scalars when every block is a real multiple of its identity,
-    else None."""
+    else None. A block that is not finite (a sum of blocks that overflowed)
+    raises NonFiniteError."""
     scalars = [scalar_block(b, tol.eps_proj) for b in x.blocks]
+    if None in scalars and not all(np.isfinite(b).all() for b in x.blocks):
+        raise NonFiniteError("a block has entries that are not finite (NaN or infinite)")
     return None if None in scalars else scalars
 
 

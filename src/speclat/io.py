@@ -145,11 +145,11 @@ def _block_iso_from_doc(doc: dict, cone: str, where: str) -> FactorCanonicalIso:
     try:
         if "jordan" in doc:
             spec = doc["jordan"]
-            psi = JordanIso(
+            tau = JordanIso(
                 matrix_from_json(_require(spec, "u", f"{where}.jordan"), f"{where}.jordan.u"),
                 transpose=bool(spec.get("transpose", False)),
             )
-            return FactorCanonicalIso.from_jordan(psi, f, cone)
+            return FactorCanonicalIso(f, tau, cone)
         if "tau" in doc:
             spec = doc["tau"]
             tau = ProjectionIsomorphism(

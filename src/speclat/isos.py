@@ -1,6 +1,7 @@
 """Concrete carriers for order isomorphisms: projection-lattice maps induced
-by invertible (anti)linear matrices, Jordan maps, canonical single-factor
-isomorphisms, and blockwise direct-sum isomorphisms with a permutation."""
+by invertible (anti)linear matrices (a Jordan map's among them), canonical
+single-factor isomorphisms, and blockwise direct-sum isomorphisms with a
+permutation."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from .directsum import BlockProfile, DirectSumElement, _check_profiles
-from .errors import ConeError, DimensionMismatchError, InvalidFamilyError, SpeclatError
+from .errors import ConeError, DimensionMismatchError, InvalidFamilyError, NonFiniteError, SpeclatError
 from .linalg import EigenSystem, _eigh_hermitian, orthonormal_range, spectral_sum, split_range
 from .monotone import MonotoneBijection
 from .order import SELF_ADJOINT, _check_cone_name, _check_spectrum, check_scalar_map, endpoint_deviations
@@ -71,32 +72,17 @@ class ProjectionIsomorphism:
         return ProjectionIsomorphism(inv, self.antilinear)
 
 
-@dataclass(frozen=True)
-class JordanIso:
-    """Jordan *-isomorphism of a matrix factor: x -> u x u*, optionally with
-    a transpose first. Preserves squares, adjoints and orthogonality."""
-
-    u: np.ndarray
-    transpose: bool = False
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.complex128)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise DimensionMismatchError(f"u must be square, got {u.shape}")
-        if max_abs(u.conj().T @ u - np.eye(u.shape[0])) > DEFAULT_TOL.eps_proj:
-            raise SpeclatError("u is not unitary")
-        object.__setattr__(self, "u", u)
-
-    def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        body = x.T if self.transpose else x
-        out = self.u @ body @ self.u.conj().T
-        return (out + out.conj().T) / 2.0
-
-    def as_projection_iso(self) -> ProjectionIsomorphism:
-        """On projections a Jordan map acts by the unitary, conjugating
-        coordinates first when there is a transpose."""
-        return ProjectionIsomorphism(self.u, antilinear=self.transpose)
+def JordanIso(u, transpose: bool = False) -> ProjectionIsomorphism:
+    """The projection map of the Jordan *-isomorphism x -> u x u* (u x^T u*
+    when transpose): tau = (u, antilinear = transpose). The Jordan map
+    itself is FactorCanonicalIso with this tau and the identity f; it
+    preserves squares, adjoints and orthogonality."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatchError(f"u must be square, got {u.shape}")
+    if max_abs(u.conj().T @ u - np.eye(u.shape[0])) > DEFAULT_TOL.eps_proj:
+        raise SpeclatError("u is not unitary")
+    return ProjectionIsomorphism(u, antilinear=transpose)
 
 
 def _transported_spectrum(tau: ProjectionIsomorphism, es: EigenSystem, values) -> np.ndarray:
@@ -143,9 +129,9 @@ class FactorCanonicalIso:
         return cls(MonotoneBijection.identity(), ProjectionIsomorphism.identity(n), cone)
 
     @classmethod
-    def from_jordan(cls, psi: JordanIso, f: MonotoneBijection, cone: str = SELF_ADJOINT):
-        """Orthoisomorphism-shaped block psi(f(x)): tau is the Jordan map's."""
-        return cls(f, psi.as_projection_iso(), cone)
+    def from_jordan(cls, psi: ProjectionIsomorphism, f: MonotoneBijection, cone: str = SELF_ADJOINT):
+        """cls(f, psi, cone), for callers that build psi with JordanIso."""
+        return cls(f, psi, cone)
 
     @cached_property
     def _endpoint_deviations(self) -> tuple[tuple[float, float], ...]:
@@ -165,7 +151,9 @@ class FactorCanonicalIso:
         matrix is compared, and a 1 x 1 element is always scalar. Any other
         element is decomposed once, and its cone membership is read from
         that eigensystem before the spectrum is transported. Values that f
-        sends out of the floats (t^5 at 1e100) are refused on both paths.
+        sends out of the floats (t^5 at 1e100) are refused on both paths,
+        with NonFiniteError when h itself is not finite (a sum of blocks
+        that overflowed) and InvalidFamilyError otherwise.
         """
         n = h.shape[0]
         c = 0.0 + h[0, 0].real  # 0.0 + keeps a zero scalar unsigned, as breakpoints are
@@ -181,6 +169,8 @@ class FactorCanonicalIso:
         # extremes
         lo, hi = (values, values) if scalar else (values[0], values[-1])
         if not (math.isfinite(lo) and math.isfinite(hi)):
+            if not np.isfinite(h).all():
+                raise NonFiniteError("element has entries that are not finite (NaN or infinite)")
             raise InvalidFamilyError("breakpoints must be finite")
         if scalar:
             out = np.zeros((n, n), dtype=np.complex128)

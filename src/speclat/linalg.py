@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SpeclatError
+from .errors import DimensionMismatchError, NonFiniteError, SpeclatError
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian
 
@@ -131,10 +131,14 @@ def _solve(key: bytes, n: int, tol: ToleranceConfig) -> EigenSystem:
     """The eigensystem of the n x n matrix whose bytes are key, memoized
     over the _MEMO_SIZE most recent distinct (matrix, tol) pairs. The key
     is the matrix itself, so a hit is exact, and a matrix changed in place
-    is solved again. A solve that fails raises, and nothing is kept."""
+    is solved again. A solve that fails keeps nothing and raises; a matrix
+    that is not finite (a sum of blocks that overflowed) is NonFiniteError."""
+    h = np.frombuffer(key, dtype=np.complex128).reshape(n, n)
     try:
-        values, vectors = np.linalg.eigh(np.frombuffer(key, dtype=np.complex128).reshape(n, n))
+        values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
+        if not np.isfinite(h).all():
+            raise NonFiniteError("matrix has entries that are not finite (NaN or infinite)") from None
         raise SpeclatError(f"eigensolver did not converge: {exc}") from None
     offsets = cluster_ends(values, tol.eps_eig)
     for a in (values, vectors, offsets):

@@ -24,7 +24,9 @@ from .directsum import (
     ds_central_scalars,
     scalar_block,
 )
-from .errors import ConeError, DecompositionError, DimensionMismatchError, NotMonotoneError, SpeclatError
+from .errors import (
+    ConeError, DecompositionError, DimensionMismatchError, NonFiniteError, NotMonotoneError, SpeclatError
+)
 from .isos import FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
 from .linalg import eigh, spectral_sum
 from .monotone import MonotoneBijection
@@ -94,6 +96,12 @@ def reassembly_residuals(
     return residuals
 
 
+# the uniform grid on [0, 1] on which FactorCanonicalRecovery samples the
+# scalar action; every recovered f keeps it as its knots, so it is read-only
+_GRID = np.linspace(0.0, 1.0, 129)
+_GRID.flags.writeable = False
+
+
 def _unit_projection(v: np.ndarray) -> np.ndarray:
     return spectral_sum((v / np.linalg.norm(v))[:, None], 1.0)
 
@@ -112,14 +120,10 @@ class FactorCanonicalRecovery:
 
     Parameters
     ----------
-    grid_points : int
-        Uniform grid resolution on [0, 1] for sampling the scalar action.
     n_verify : int
-        Number of random effects used for the final residual check.
-    verify_tol : float or None
-        Acceptance threshold for the verification residual; defaults to
-        eps_recon. A scalar action outside the piecewise-linear class at
-        grid resolution is rejected here.
+        Number of random effects used for the final residual check, whose
+        bound is tol.eps_recon. A scalar action outside the
+        piecewise-linear class at the grid's resolution is rejected there.
     random_state : int or numpy Generator
         Seed for verification sampling.
     tol : ToleranceConfig
@@ -127,17 +131,15 @@ class FactorCanonicalRecovery:
     Attributes (after fit)
     ----------------------
     scale_function_ : MonotoneBijection
-    projection_map_ : ProjectionIsomorphism
-        T is fixed only up to a global unit scalar (an eigenvector's phase).
     canonical_ : FactorCanonicalIso
+        Its tau's T is fixed only up to a global unit scalar (an
+        eigenvector's phase).
     max_residual_ : float
     """
 
-    def __init__(self, grid_points=129, n_verify=200, verify_tol=None, random_state=0, tol=DEFAULT_TOL):
+    def __init__(self, n_verify=200, random_state=0, tol=DEFAULT_TOL):
         _check_count(n_verify, "n_verify")
-        self.grid_points = grid_points
         self.n_verify = n_verify
-        self.verify_tol = verify_tol
         self.random_state = random_state
         self.tol = tol
 
@@ -157,10 +159,9 @@ class FactorCanonicalRecovery:
         n = _single_factor_dim(oracle)
         tol = self.tol
 
-        grid = np.linspace(0.0, 1.0, self.grid_points)
-        scalars = sample_scalar_action(oracle, grid, tol)
+        scalars = sample_scalar_action(oracle, _GRID, tol)
         try:
-            f = MonotoneBijection.piecewise_linear(grid, scalars)
+            f = MonotoneBijection.piecewise_linear(_GRID, scalars)
             check_scalar_map(endpoint_deviations(f, EFFECT), EFFECT, tol)
         except (NotMonotoneError, ConeError) as exc:
             raise DecompositionError(f"scalar action is not a bijection of [0, 1]: {exc}") from None
@@ -191,25 +192,22 @@ class FactorCanonicalRecovery:
             d_anti = max_abs(probe - _unit_projection(columns[0] - 1j * columns[1]))
             antilinear = d_anti < d_lin
 
-        tau = ProjectionIsomorphism(t_matrix, antilinear)
-        canonical = FactorCanonicalIso(f, tau, EFFECT)
+        canonical = FactorCanonicalIso(f, ProjectionIsomorphism(t_matrix, antilinear), EFFECT)
 
         rng = rng_from(self.random_state)
-        threshold = self.verify_tol if self.verify_tol is not None else tol.eps_recon
         worst = 0.0
         for _ in range(self.n_verify):
             x = random_effect(rng, n)
             r = max_abs(canonical.apply(x, tol) - _factor_image(oracle, x))
             worst = float(np.maximum(worst, r))  # NaN when any residual is
-        if not worst <= threshold:
+        if not worst <= tol.eps_recon:
             raise DecompositionError(
-                f"verification residual {worst:.3e} exceeds {threshold:.1e}: the scalar "
+                f"verification residual {worst:.3e} exceeds {tol.eps_recon:.1e}: the scalar "
                 "action is outside the piecewise-linear class at this grid resolution, "
                 "or the map is not a spectral order isomorphism"
             )
 
         self.scale_function_ = f
-        self.projection_map_ = tau
         self.canonical_ = canonical
         self.max_residual_ = worst
         return self
@@ -269,7 +267,11 @@ class DirectSumIsoDecomposer:
         shift = None
         if oracle.cone == SELF_ADJOINT:
             shift = oracle.forward(DirectSumElement.zero(dom))
-            if ds_central_scalars(shift, tol) is None:
+            try:
+                central = ds_central_scalars(shift, tol) is not None
+            except NonFiniteError:  # a black box's NaN answer, which no check has seen
+                central = False
+            if not central:
                 raise DecompositionError(
                     "the image of 0 is not central, so the map is not a spectral "
                     "order isomorphism"

@@ -139,6 +139,8 @@ def random_projection_isomorphism(
         return ProjectionIsomorphism(random_shear(rng, n))
     if kind == "antilinear":
         return ProjectionIsomorphism(random_unitary(rng, n), antilinear=True)
+    if kind == "jordan":
+        return JordanIso(random_unitary(rng, n), transpose=bool(rng.integers(2)))
     raise ValueError(f"unknown projection isomorphism kind {kind!r}")
 
 
@@ -157,7 +159,6 @@ def random_direct_sum_iso(
     profile: BlockProfile,
     cone: str = SELF_ADJOINT,
     tau_kinds: tuple[str, ...] = ("unitary", "shear"),
-    jordan: bool = False,
     fix_zero: bool = False,
 ) -> DirectSumIso:
     """Random blockwise isomorphism over the given domain profile; the
@@ -168,12 +169,8 @@ def random_direct_sum_iso(
     blocks = []
     for d in profile.dims:
         f = random_monotone_bijection(rng, cone, fix_zero=fix_zero)
-        if jordan:
-            psi = JordanIso(random_unitary(rng, d), transpose=bool(rng.integers(2)))
-            blocks.append(FactorCanonicalIso.from_jordan(psi, f, cone))
-        else:
-            kind = tau_kinds[int(rng.integers(len(tau_kinds)))]
-            blocks.append(FactorCanonicalIso(f, random_projection_isomorphism(rng, d, kind), cone))
+        kind = tau_kinds[int(rng.integers(len(tau_kinds)))]
+        blocks.append(FactorCanonicalIso(f, random_projection_isomorphism(rng, d, kind), cone))
     return DirectSumIso(profile, codomain, pi, tuple(blocks), cone)
 
 

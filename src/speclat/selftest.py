@@ -443,7 +443,7 @@ def check_orthoiso_discrimination(
     profile = BlockProfile((2, 3))
     false_negatives = 0
     for _ in range(jordan_oracles):
-        iso = random_direct_sum_iso(rng, profile, "eff", jordan=True)
+        iso = random_direct_sum_iso(rng, profile, "eff", tau_kinds=("jordan",))
         check = is_orthoiso(
             OrderIsoOracle.from_iso(iso, tol),
             trials=jordan_trials,

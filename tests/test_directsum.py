@@ -235,3 +235,30 @@ def test_non_finite_blocks_are_refused_at_every_entry_point(bad):
         eigh(bad)
     with pytest.raises(NonFiniteError):
         check_hermitian(bad)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_blocks_that_overflow_in_element_arithmetic_are_refused_as_non_finite():
+    """x + x does not check its blocks, and a sum of finite blocks can
+    overflow. The isos, the eigensolver and ds_central_scalars refuse such
+    a block with NonFiniteError, as ds_spec_join does; a finite block that
+    f sends out of the floats keeps InvalidFamilyError
+    (test_values_sent_out_of_the_floats_are_refused)."""
+    for block in (
+        [[1e308, 1e308], [1e308, -1e308]],  # the eigensolver returns NaN
+        [[1.0, 2.0, 1e308], [2.0, 1.0, 0.0], [1e308, 0.0, 3.0]],  # it does not converge
+        [[1e308]],  # a scalar block
+    ):
+        profile = BlockProfile((len(block),))
+        x = DirectSumElement(profile, [block])
+        for cone in ("sa", "pos"):
+            with pytest.raises(NonFiniteError, match="not finite"):
+                DirectSumIso.identity(profile, cone).apply(x + x)
+        with pytest.raises(NonFiniteError, match="not finite"):
+            eigh((x + x).blocks[0])
+        with pytest.raises(NonFiniteError):
+            ds_spec_join([x + x, x + x])
+    z = DirectSumElement(BlockProfile((1, 1)), [[[1.0]], [[1e308]]])
+    assert ds_central_scalars(z) == [1.0, 1e308]
+    with pytest.raises(NonFiniteError, match="^a block has entries that are not finite"):
+        ds_central_scalars(z + z)

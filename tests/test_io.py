@@ -72,8 +72,9 @@ def test_element_doc_schema_errors():
 
 
 def test_iso_round_trip(rng, tmp_path):
-    for cone, jordan in (("eff", False), ("sa", True), ("pos", False)):
-        iso = random_direct_sum_iso(rng, BlockProfile((2, 2)), cone, jordan=jordan)
+    mixed = ("unitary", "shear")
+    for cone, kinds in (("eff", mixed), ("sa", ("jordan",)), ("pos", mixed)):
+        iso = random_direct_sum_iso(rng, BlockProfile((2, 2)), cone, tau_kinds=kinds)
         path = tmp_path / f"iso-{cone}.json"
         emit_iso(iso, path)
         assert all("tau" in b and "jordan" not in b for b in json.loads(path.read_text())["blocks"])

@@ -28,6 +28,7 @@ from speclat.sampling import (
     random_effect,
     random_hermitian,
     random_projection,
+    random_shear,
     random_unitary,
 )
 from speclat.validation import max_abs
@@ -94,13 +95,33 @@ def test_theta_transports_the_family():
     np.testing.assert_allclose(fam.evaluate(0.5), tau.apply(line([1.0, -1.0])), atol=1e-9)
 
 
+def test_tau_agrees_with_theta_on_projections_only_for_jordan_shapes(rng):
+    """Theta_tau(p) = 1 - tau(1 - p) for every tau, since Theta moves the
+    cumulative ranges of p and the first of them is ker p. tau(p) itself
+    agrees only when tau is Jordan-shaped: ProjectionIsomorphism.apply is
+    tau, not a second Theta_tau."""
+    for n in range(2, 6):
+        eye = np.eye(n)
+        for _ in range(5):
+            p = random_projection(rng, n)
+            shear = ProjectionIsomorphism(random_shear(rng, n), antilinear=bool(rng.integers(2)))
+            assert max_abs(theta(shear, p) - (eye - shear.apply(eye - p))) <= 1e-10
+            jordan = JordanIso(random_unitary(rng, n), transpose=bool(rng.integers(2)))
+            assert max_abs(theta(jordan, p) - (eye - jordan.apply(eye - p))) <= 1e-10
+            assert max_abs(theta(jordan, p) - jordan.apply(p)) <= 1e-10
+    tau = ProjectionIsomorphism(np.diag([1.0, 2.0]))
+    p = line([1.0, 1.0])
+    np.testing.assert_allclose(tau.apply(p), line([1.0, 2.0]), atol=1e-10)
+    np.testing.assert_allclose(theta(tau, p), line([2.0, 1.0]), atol=1e-10)
+    assert max_abs(theta(tau, p) - tau.apply(p)) > 0.1
+
+
 def test_jordan_identity_and_transpose(rng):
     x = random_hermitian(rng, 3)
-    psi = JordanIso(np.eye(3))
-    np.testing.assert_allclose(psi.apply(x), x, atol=1e-12)
+    np.testing.assert_allclose(theta(JordanIso(np.eye(3)), x), x, atol=1e-12)
     flip = JordanIso(np.eye(2), transpose=True)
     y = np.array([[0.0, 1j], [-1j, 0.0]])
-    np.testing.assert_allclose(flip.apply(y), np.array([[0.0, -1j], [1j, 0.0]]))
+    np.testing.assert_allclose(theta(flip, y), np.array([[0.0, -1j], [1j, 0.0]]), atol=1e-12)
 
 
 def test_jordan_preserves_spectrum_and_orthogonality(rng):
@@ -109,24 +130,46 @@ def test_jordan_preserves_spectrum_and_orthogonality(rng):
         psi = JordanIso(random_unitary(rng, n), transpose=bool(rng.integers(2)))
         x = random_hermitian(rng, n)
         np.testing.assert_allclose(
-            eigh(psi.apply(x)).values, eigh(x).values, atol=1e-9
+            eigh(theta(psi, x)).values, eigh(x).values, atol=1e-9
         )
         p = random_projection(rng, n)
         q = np.eye(n) - p
-        assert max_abs(psi.apply(p) @ psi.apply(q)) <= 1e-9
+        assert max_abs(theta(psi, p) @ theta(psi, q)) <= 1e-9
 
 
 def test_jordan_rejects_non_unitary():
-    with pytest.raises(SpeclatError):
+    with pytest.raises(SpeclatError, match="^u is not unitary$"):
         JordanIso(np.diag([1.0, 2.0]))
+    with pytest.raises(DimensionMismatchError, match=r"^u must be square, got \(2, 3\)$"):
+        JordanIso(np.ones((2, 3)), transpose=True)
 
 
-def test_jordan_matches_theta_of_its_projection_iso(rng):
-    for transpose in (False, True):
-        psi = JordanIso(random_unitary(rng, 3), transpose=transpose)
-        tau = psi.as_projection_iso()
-        x = random_hermitian(rng, 3)
-        np.testing.assert_allclose(theta(tau, x), psi.apply(x), atol=1e-8)
+def test_jordan_matches_theta_of_its_projection_iso(rng, count_calls):
+    """JordanIso(u, t) is the projection map (u, antilinear = t), with gram
+    set, and the canonical iso over it is x -> u f(x) u* (u f(x)^T u* when
+    t) with no QR, at n = 1 to 6 on every cone."""
+    maps = {
+        "sa": MonotoneBijection.power(3.0),
+        "pos": MonotoneBijection.piecewise_linear([0.0, 0.5, 2.0], [0.0, 0.2, 1.5]),
+        "eff": MonotoneBijection.piecewise_linear([0.0, 0.3, 1.0], [0.0, 0.6, 1.0]),
+    }
+    qrs = count_calls(np.linalg.qr)
+    for n in range(1, 7):
+        for transpose in (False, True):
+            u = random_unitary(rng, n)
+            tau = JordanIso(u, transpose)
+            assert type(tau) is ProjectionIsomorphism
+            assert np.array_equal(tau.T, u) and tau.antilinear is transpose
+            assert abs(tau.gram - 1.0) <= 1e-14
+            for cone, f in maps.items():
+                x = random_hermitian(rng, n) if cone == "sa" else random_effect(rng, n)
+                w, v = np.linalg.eigh(x)
+                fx = (v * f(w)) @ v.conj().T
+                expected = u @ (fx.T if transpose else fx) @ u.conj().T
+                qrs.clear()
+                got = FactorCanonicalIso(f, tau, cone).apply(x)
+                assert qrs == []
+                assert max_abs(got - expected) <= 1e-12
 
 
 def test_theta_commutes_with_monotone(rng):
@@ -467,7 +510,7 @@ def _jordan_shaped_taus(rng, n):
         ProjectionIsomorphism(u, antilinear=True),
         ProjectionIsomorphism(2.5 * u),
         ProjectionIsomorphism(3.0 * random_unitary(rng, n), antilinear=True).inverse(),
-        JordanIso(random_unitary(rng, n), transpose=True).as_projection_iso(),
+        JordanIso(random_unitary(rng, n), transpose=True),
     ]
 
 

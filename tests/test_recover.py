@@ -34,7 +34,7 @@ from speclat.sampling import (
     rng_from,
 )
 from speclat.selftest import run_selftest
-from speclat.tolerances import DEFAULT_TOL
+from speclat.tolerances import DEFAULT_TOL, ToleranceConfig
 from speclat.validation import max_abs
 
 
@@ -50,7 +50,7 @@ def test_recover_identity_oracle():
     grid = np.linspace(0.0, 1.0, 9)
     np.testing.assert_allclose(rec.scale_function_(grid), grid, atol=1e-9)
     p = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    np.testing.assert_allclose(rec.projection_map_.apply(p), p, atol=1e-8)
+    np.testing.assert_allclose(rec.canonical_.tau.apply(p), p, atol=1e-8)
     assert rec.max_residual_ <= 1e-9
 
 
@@ -82,9 +82,9 @@ def test_recover_shear_canonical(rng):
 def test_recover_antilinear_canonical(rng):
     psi = JordanIso(random_unitary(rng, 3), transpose=True)
     f = random_monotone_bijection(rng, "eff", grid=128)
-    oracle = single_factor_oracle(FactorCanonicalIso.from_jordan(psi, f, "eff"))
+    oracle = single_factor_oracle(FactorCanonicalIso(f, psi, "eff"))
     rec = FactorCanonicalRecovery(random_state=3).fit(oracle)
-    assert rec.projection_map_.antilinear
+    assert rec.canonical_.tau.antilinear
     assert rec.max_residual_ <= 1e-8
 
 
@@ -95,7 +95,7 @@ def test_recover_square_map_on_grid_with_loose_verification(rng):
     f = MonotoneBijection.power(2.0)
     tau = ProjectionIsomorphism(random_unitary(rng, 2))
     oracle = single_factor_oracle(FactorCanonicalIso(f, tau, "eff"))
-    rec = FactorCanonicalRecovery(verify_tol=1e-3, random_state=4).fit(oracle)
+    rec = FactorCanonicalRecovery(random_state=4, tol=ToleranceConfig(eps_recon=1e-3)).fit(oracle)
     grid = np.linspace(0.0, 1.0, 129)
     np.testing.assert_allclose(rec.scale_function_(grid), grid**2, atol=1e-6)
     with pytest.raises(DecompositionError):
@@ -125,7 +125,7 @@ def test_recover_refuses_a_scalar_action_that_moves_zero():
 
     oracle = OrderIsoOracle(profile, profile, "eff", fwd, lambda y: y)
     with pytest.raises(DecompositionError, match="does not fix 0"):
-        FactorCanonicalRecovery(grid_points=9, n_verify=5).fit(oracle)
+        FactorCanonicalRecovery(n_verify=5).fit(oracle)
 
 
 def test_decompose_identity_oracle(rng):
@@ -285,7 +285,7 @@ def test_is_orthoiso_identity_and_jordan(rng):
     profile = BlockProfile((2, 3))
     ident = OrderIsoOracle.from_iso(DirectSumIso.identity(profile, "eff"))
     assert is_orthoiso(ident, trials=40, random_state=0).ok
-    iso = random_direct_sum_iso(rng, profile, "eff", jordan=True)
+    iso = random_direct_sum_iso(rng, profile, "eff", tau_kinds=("jordan",))
     check = is_orthoiso(OrderIsoOracle.from_iso(iso), trials=60, random_state=1)
     assert check.ok and check.witness is None
     assert "type-I2" in check.flags
@@ -482,6 +482,18 @@ def test_decomposer_refuses_a_nan_residual():
         DirectSumIsoDecomposer(n_verify=5, random_state=0).fit(oracle)
 
 
+def test_decomposer_refuses_a_nan_image_of_zero():
+    """ds_central_scalars raises NonFiniteError on a NaN block; the
+    decomposer still answers a black box's NaN shift with its own
+    DecompositionError."""
+    profile = BlockProfile((2, 3))
+    oracle = OrderIsoOracle(
+        profile, profile, "sa", lambda x: _nan_element(profile), lambda y: _nan_element(profile)
+    )
+    with pytest.raises(DecompositionError, match="image of 0 is not central"):
+        DirectSumIsoDecomposer(n_verify=5, random_state=0).fit(oracle)
+
+
 def test_canonical_recovery_refuses_nan_verification_images():
     """The oracle answers the recovery's own queries (multiples of the
     identity and projections) as an iso does, and returns NaN for the
@@ -502,7 +514,7 @@ def test_canonical_recovery_refuses_nan_verification_images():
 
     oracle = OrderIsoOracle(profile, profile, "eff", fwd, base.inverse)
     with pytest.raises(DecompositionError, match="verification residual nan"):
-        FactorCanonicalRecovery(grid_points=17, n_verify=5, random_state=0).fit(oracle)
+        FactorCanonicalRecovery(n_verify=5, random_state=0).fit(oracle)
 
 
 @pytest.mark.parametrize("dims", [(3,), (2, 3)])
