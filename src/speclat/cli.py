@@ -35,7 +35,7 @@ from .io import (
     parse_iso,
 )
 from .isos import OrderIsoOracle
-from .order import spec_join
+from .order import cone_domain, spec_join
 from .recover import DirectSumIsoDecomposer, is_orthoiso, sample_scalar_action
 from .sampling import random_ds_element, random_in_cone, rng_from
 from .tolerances import DEFAULT_TOL, ToleranceConfig
@@ -238,21 +238,16 @@ def _cmd_apply_iso(args, tol, report: Report) -> int:
     return 0
 
 
-def _scalar_grid(cone: str, points: int) -> np.ndarray:
-    if cone == "eff":
-        return np.linspace(0.0, 1.0, points)
-    if cone == "pos":
-        return np.linspace(0.0, 2.0, points)
-    return np.linspace(-1.0, 1.0, points)
-
-
 def _cmd_decompose(args, tol, report: Report) -> int:
     iso = parse_iso(args.iso, tol)
     report.inputs = {"iso": file_digest(args.iso)}
     oracle = OrderIsoOracle.from_iso(iso, tol)
     try:
         dec = DirectSumIsoDecomposer(n_verify=args.samples, random_state=report.seed, tol=tol).fit(oracle)
-        grid = _scalar_grid(iso.cone, args.grid)
+        # the cone's domain, cut to at most [-1, 1] or [0, 2] where it is unbounded
+        lo, hi = cone_domain(iso.cone)
+        lo = max(lo, -1.0)
+        grid = np.linspace(lo, min(hi, lo + 2.0), args.grid)
         actions = [
             {"block": j, "grid": grid.tolist(), "values": sample_scalar_action(b, grid, tol).tolist()}
             for j, b in enumerate(dec.block_oracles_)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConeError, DimensionMismatchError, NonFiniteError
 from .family import SpectralFamily, family_of
 from .linalg import spectral_sum
-from .order import EFFECT, POSITIVE, _cone_eigh, pos_neg_parts, spec_join, spec_leq, spec_meet
+from .order import _cone_eigh, cone_domain, pos_neg_parts, spec_join, spec_leq, spec_meet
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, max_abs
 
@@ -187,13 +187,17 @@ def ds_pos_neg_parts(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL):
     return plus, minus
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def scalar_block(block: np.ndarray, threshold: float, c: float | None = None) -> float | None:
     """c when the block is within threshold of c * identity, entry by entry,
-    else None (also for a NaN entry); c defaults to the block's mean
-    diagonal entry."""
+    else None (also for a NaN entry, or an infinite c), with no
+    RuntimeWarning; c defaults to the block's mean diagonal entry, summed
+    as diag / d where the trace of a finite block overflows."""
     d = block.shape[0]
     if c is None:
         c = float(np.real(np.trace(block))) / d
+        if not np.isfinite(c):
+            c = float(np.sum(np.real(np.diagonal(block)) / d))
     return c if max_abs(block - c * np.eye(d)) <= threshold else None
 
 
@@ -215,13 +219,13 @@ def ds_atom_scalar_decompose(
     Atoms of a direct sum live in a single factor, so this succeeds exactly
     when one block is a positive scalar multiple of a rank-one projection
     and every other block vanishes. Returns (alpha, block index, e) or None.
-    It is defined on the cones 'pos' and 'eff', where the scalar multiples
-    of atoms are exactly the elements below which the order is total. Each
-    block is validated and decomposed once, and its cone membership is
-    read from that eigensystem. Any other cone raises ConeError before any
-    block is decomposed.
+    It is defined on the cones whose interval is bounded below ('pos' and
+    'eff'), where the scalar multiples of atoms are exactly the elements
+    below which the order is total. Each block is validated and decomposed
+    once, and its cone membership is read from that eigensystem. Any other
+    cone raises ConeError before any block is decomposed.
     """
-    if cone not in (POSITIVE, EFFECT):
+    if not np.isfinite(cone_domain(cone)[0]):
         raise ConeError("atom decomposition is defined on cones 'pos' and 'eff'")
     systems = [_cone_eigh(b, cone, tol, f"blocks[{j}]") for j, b in enumerate(x.blocks)]
     supported = [j for j, b in enumerate(x.blocks) if max_abs(b) > tol.eps_proj]

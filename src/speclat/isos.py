@@ -6,7 +6,7 @@ permutation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -15,7 +15,7 @@ from .directsum import BlockProfile, DirectSumElement, _check_profiles
 from .errors import ConeError, DimensionMismatchError, InvalidFamilyError, NonFiniteError, SpeclatError
 from .linalg import EigenSystem, _eigh_hermitian, orthonormal_range, spectral_sum, split_range
 from .monotone import MonotoneBijection
-from .order import SELF_ADJOINT, _check_cone_name, _check_spectrum, check_scalar_map, endpoint_deviations
+from .order import SELF_ADJOINT, _check_spectrum, check_scalar_map, cone_domain, endpoint_deviations
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, max_abs
 
@@ -118,7 +118,7 @@ class FactorCanonicalIso:
     cone: str = SELF_ADJOINT
 
     def __post_init__(self):
-        _check_cone_name(self.cone)
+        cone_domain(self.cone)
 
     @property
     def n(self) -> int:
@@ -157,8 +157,13 @@ class FactorCanonicalIso:
         """
         n = h.shape[0]
         c = 0.0 + h[0, 0].real  # 0.0 + keeps a zero scalar unsigned, as breakpoints are
-        # c * 1 needs no eigensystem: its spectrum is its diagonal
-        scalar = n == 1 or (h[1, 0] == 0 and h[1, 1] == c and (h == c * np.eye(n)).all())
+        # c * 1 needs no eigensystem: its spectrum is its diagonal. h is c * 1
+        # when c is on all n diagonal entries and nothing else is nonzero; an
+        # infinite c goes to the eigensolver, which refuses it
+        scalar = n == 1 or (
+            h[1, 0] == 0 and h[1, 1] == c and math.isfinite(c)
+            and h.diagonal().tolist().count(c) == n and np.count_nonzero(h) == (n if c else 0)
+        )
         es = None if scalar else _eigh_hermitian(h, tol)
         _check_spectrum(h.diagonal().real if scalar else es.values, self.cone, tol, "element")
         check_scalar_map(self._endpoint_deviations, self.cone, tol)
@@ -271,4 +276,16 @@ class OrderIsoOracle:
             cone=iso.cone,
             forward=lambda x: iso.apply(x, tol),
             inverse=lambda y: inv.apply(y, tol),
+        )
+
+    def shifted(self, shift: DirectSumElement | None) -> "OrderIsoOracle":
+        """x -> forward(x) + shift, with inverse y -> inverse(y - shift);
+        self when shift is None. Recovery takes a shift s off with
+        shifted(-s)."""
+        if shift is None:
+            return self
+        return replace(
+            self,
+            forward=lambda x: self.forward(x) + shift,
+            inverse=lambda y: self.inverse(y - shift),
         )

@@ -32,34 +32,40 @@ from .validation import check_hermitian, check_same_dim, max_abs
 SELF_ADJOINT = "sa"
 POSITIVE = "pos"
 EFFECT = "eff"
-CONES = (SELF_ADJOINT, POSITIVE, EFFECT)
+# each cone is the set of elements whose spectrum lies in its interval
+_DOMAINS = {SELF_ADJOINT: (-np.inf, np.inf), POSITIVE: (0.0, np.inf), EFFECT: (0.0, 1.0)}
+CONES = tuple(_DOMAINS)
 
 
-def _check_cone_name(cone: str) -> None:
-    if cone not in CONES:
-        raise ConeError(f"unknown cone {cone!r}, expected one of {CONES}")
+def cone_domain(cone: str) -> tuple[float, float]:
+    """The interval (lo, hi) of a cone: the cone holds the elements whose
+    spectrum lies in it, and the scalar part of a canonical isomorphism
+    maps it onto itself. Every decision on the cone reads these ends. An
+    unknown name raises ConeError."""
+    try:
+        return _DOMAINS[cone]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ConeError(f"unknown cone {cone!r}, expected one of {CONES}") from None
 
 
 def _check_spectrum(values, cone: str, tol: ToleranceConfig, name: str) -> None:
-    """Refuse eigenvalues outside the cone. Every caller passes ascending
-    values, so the ends are the extremes."""
-    if cone == SELF_ADJOINT:
-        return
-    lo, hi = values[0], values[-1]
-    if lo < -tol.eps_proj:
-        raise ConeError(f"{name} has eigenvalue {lo:.3e} < 0, outside cone {cone!r}")
-    if cone == EFFECT and hi > 1.0 + tol.eps_proj:
-        raise ConeError(f"{name} has eigenvalue {hi:.10g} > 1, outside cone 'eff'")
+    """Refuse eigenvalues outside the cone's interval, widened by eps_proj.
+    Every caller passes ascending values, so the ends are the extremes."""
+    lo, hi = cone_domain(cone)
+    if values[0] < lo - tol.eps_proj:
+        raise ConeError(f"{name} has eigenvalue {values[0]:.3e} < {lo:g}, outside cone {cone!r}")
+    if values[-1] > hi + tol.eps_proj:
+        raise ConeError(f"{name} has eigenvalue {values[-1]:.10g} > {hi:g}, outside cone {cone!r}")
 
 
 def check_cone(x, cone: str, tol: ToleranceConfig = DEFAULT_TOL, name: str = "element") -> np.ndarray:
     """Validate cone membership (sa / pos / eff) and return the symmetrized
-    matrix. Membership outside 'sa' is read from eigh's memoized
-    eigensystem, so an operation that goes on to decompose the returned
-    matrix solves it no second time."""
-    _check_cone_name(cone)
+    matrix. Membership in a cone with a finite end is read from eigh's
+    memoized eigensystem, so an operation that goes on to decompose the
+    returned matrix solves it no second time."""
+    lo, hi = cone_domain(cone)
     h = check_hermitian(x, tol, name)
-    if cone != SELF_ADJOINT:
+    if np.isfinite(lo) or np.isfinite(hi):
         _check_spectrum(_eigh_hermitian(h, tol).values, cone, tol, name)
     return h
 
@@ -67,7 +73,7 @@ def check_cone(x, cone: str, tol: ToleranceConfig = DEFAULT_TOL, name: str = "el
 def _cone_eigh(x, cone: str, tol: ToleranceConfig, name: str = "element") -> EigenSystem:
     """One validated eigensolve of x, with its cone membership read from
     that same spectrum."""
-    _check_cone_name(cone)
+    cone_domain(cone)
     es = eigh(x, tol, name)
     _check_spectrum(es.values, cone, tol, name)
     return es
@@ -80,16 +86,6 @@ def _negated(es: EigenSystem, tol: ToleranceConfig) -> EigenSystem:
     # 0.0 - v rather than -v keeps zero eigenvalues unsigned
     values = 0.0 - es.values[::-1]
     return EigenSystem(values, es.vectors[:, ::-1], cluster_ends(values, tol.eps_eig))
-
-
-def cone_domain(cone: str) -> tuple[float, float]:
-    """Scalar domain of a cone: the interval the scalar part of a canonical
-    isomorphism must map onto itself."""
-    if cone == EFFECT:
-        return (0.0, 1.0)
-    if cone == POSITIVE:
-        return (0.0, np.inf)
-    return (-np.inf, np.inf)
 
 
 def endpoint_deviations(f: MonotoneBijection, cone: str) -> tuple[tuple[float, float], ...]:

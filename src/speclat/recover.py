@@ -30,7 +30,7 @@ from .errors import (
 from .isos import FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
 from .linalg import eigh, spectral_sum
 from .monotone import MonotoneBijection
-from .order import EFFECT, SELF_ADJOINT, check_scalar_map, endpoint_deviations
+from .order import EFFECT, check_scalar_map, cone_domain, endpoint_deviations
 from .sampling import random_ds_element, random_effect, random_unitary, rng_from
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import _check_count, max_abs
@@ -154,7 +154,9 @@ class FactorCanonicalRecovery:
         return es.vectors[:, 0]
 
     def fit(self, oracle: OrderIsoOracle) -> "FactorCanonicalRecovery":
-        if oracle.cone != EFFECT:
+        cone = oracle.cone
+        # the grid samples [0, 1], and tau is read off images of 1 - q
+        if cone_domain(cone) != (0.0, 1.0):
             raise DecompositionError("canonical recovery is implemented on the effect cone")
         n = _single_factor_dim(oracle)
         tol = self.tol
@@ -162,7 +164,7 @@ class FactorCanonicalRecovery:
         scalars = sample_scalar_action(oracle, _GRID, tol)
         try:
             f = MonotoneBijection.piecewise_linear(_GRID, scalars)
-            check_scalar_map(endpoint_deviations(f, EFFECT), EFFECT, tol)
+            check_scalar_map(endpoint_deviations(f, cone), cone, tol)
         except (NotMonotoneError, ConeError) as exc:
             raise DecompositionError(f"scalar action is not a bijection of [0, 1]: {exc}") from None
         mid = (scalars[0] + scalars[-1]) / 2.0
@@ -192,7 +194,7 @@ class FactorCanonicalRecovery:
             d_anti = max_abs(probe - _unit_projection(columns[0] - 1j * columns[1]))
             antilinear = d_anti < d_lin
 
-        canonical = FactorCanonicalIso(f, ProjectionIsomorphism(t_matrix, antilinear), EFFECT)
+        canonical = FactorCanonicalIso(f, ProjectionIsomorphism(t_matrix, antilinear), cone)
 
         rng = rng_from(self.random_state)
         worst = 0.0
@@ -241,9 +243,10 @@ class DirectSumIsoDecomposer:
         self.random_state = random_state
         self.tol = tol
 
-    def _match_scalar_atom(self, image: DirectSumElement, sign: float, what: str, cone: str) -> int:
+    def _match_scalar_atom(self, image: DirectSumElement, sign: float, what: str, unit: bool) -> int:
         """Index of the single block carrying sign * (positive scalar) * identity.
-        On effects the scalar must be 1: the image is a codomain central atom."""
+        When unit (a cone bounded above, where an isomorphism fixes both
+        ends) the scalar must be 1: the image is a codomain central atom."""
         threshold = 10 * self.tol.eps_recon
         supported = [k for k, b in enumerate(image.blocks) if max_abs(b) > threshold]
         if len(supported) != 1:
@@ -251,7 +254,6 @@ class DirectSumIsoDecomposer:
                 f"{what} is supported on {len(supported)} blocks instead of one"
             )
         k = supported[0]
-        unit = cone == EFFECT
         c = scalar_block(image.blocks[k], threshold, 1.0 if unit else None)
         if c is None or sign * c <= 0:
             kind = "positive" if sign > 0 else "negative"
@@ -263,9 +265,13 @@ class DirectSumIsoDecomposer:
         tol = self.tol
         dom, cod = oracle.domain_profile, oracle.codomain_profile
         zs = central_atoms(dom)
+        lo, hi = cone_domain(oracle.cone)
 
+        # only a cone unbounded below (the whole line) is mapped onto itself
+        # by a central translation, so only there can an isomorphism move 0
         shift = None
-        if oracle.cone == SELF_ADJOINT:
+        unshifted = oracle
+        if not np.isfinite(lo):
             shift = oracle.forward(DirectSumElement.zero(dom))
             try:
                 central = ds_central_scalars(shift, tol) is not None
@@ -276,25 +282,20 @@ class DirectSumIsoDecomposer:
                     "the image of 0 is not central, so the map is not a spectral "
                     "order isomorphism"
                 )
+            unshifted = oracle.shifted(-shift)
 
-        def forward(x: DirectSumElement) -> DirectSumElement:
-            y = oracle.forward(x)
-            return y - shift if shift is not None else y
-
-        def backward(y: DirectSumElement) -> DirectSumElement:
-            return oracle.inverse(y + shift if shift is not None else y)
-
+        unit = np.isfinite(hi)
         assignment = {
-            j: self._match_scalar_atom(forward(z), +1.0, f"image of central atom {j}", oracle.cone)
+            j: self._match_scalar_atom(unshifted.forward(z), +1.0, f"image of central atom {j}", unit)
             for j, z in enumerate(zs)
         }
         if sorted(assignment.values()) != list(range(len(cod))):
             raise DecompositionError("central atom images do not induce a bijection of slots")
 
-        if oracle.cone == SELF_ADJOINT:
+        if shift is not None:
             for j, z in enumerate(zs):
                 k_neg = self._match_scalar_atom(
-                    forward(-1.0 * z), -1.0, f"image of negated central atom {j}", oracle.cone
+                    unshifted.forward(-1.0 * z), -1.0, f"image of negated central atom {j}", unit
                 )
                 if k_neg != assignment[j]:
                     raise DecompositionError(
@@ -318,12 +319,12 @@ class DirectSumIsoDecomposer:
             single_cod = BlockProfile((cod.dims[k],))
 
             def fwd(x: DirectSumElement) -> DirectSumElement:
-                image = forward(_embedded(dom, j, x.blocks[0]))
-                return _validated_image(single_cod, image.blocks[k])
+                image = unshifted.forward(_embedded(dom, j, x.blocks[0]))
+                return _validated_image(single_cod, image.blocks[k], tol)
 
             def inv(y: DirectSumElement) -> DirectSumElement:
-                pre = backward(_embedded(cod, k, y.blocks[0]))
-                return _validated_image(single_dom, pre.blocks[j])
+                pre = unshifted.inverse(_embedded(cod, k, y.blocks[0]))
+                return _validated_image(single_dom, pre.blocks[j], tol)
 
             return OrderIsoOracle(single_dom, single_cod, oracle.cone, fwd, inv)
 
@@ -348,12 +349,13 @@ class DirectSumIsoDecomposer:
         return self
 
 
-def _validated_image(profile: BlockProfile, block) -> DirectSumElement:
-    """A black box's image block as an element, validated once: an image
-    that is not a finite Hermitian matrix of the slot's dimension shows
-    that the map is not a spectral order isomorphism."""
+def _validated_image(profile: BlockProfile, block, tol: ToleranceConfig) -> DirectSumElement:
+    """A black box's image block as an element, validated once under the
+    recovery's tolerances: an image that is not a finite Hermitian matrix
+    of the slot's dimension shows that the map is not a spectral order
+    isomorphism."""
     try:
-        return DirectSumElement(profile, [block])
+        return DirectSumElement(profile, [block], tol)
     except SpeclatError as exc:  # not Hermitian, not finite, or not the slot's shape
         raise DecompositionError(f"the map's image is not a self-adjoint element: {exc}") from None
 

@@ -10,7 +10,7 @@ from .directsum import BlockProfile, DirectSumElement
 from .isos import DirectSumIso, FactorCanonicalIso, JordanIso, ProjectionIsomorphism
 from .linalg import spectral_sum
 from .monotone import MonotoneBijection
-from .order import EFFECT, POSITIVE, SELF_ADJOINT
+from .order import SELF_ADJOINT, cone_domain
 
 _N_KNOTS = 5
 
@@ -55,7 +55,9 @@ def random_effect(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_in_cone(rng: np.random.Generator, n: int, cone: str) -> np.ndarray:
-    if cone in (EFFECT, POSITIVE):
+    """An effect on a cone bounded below (an effect is also positive), a
+    Hermitian matrix on the self-adjoint cone."""
+    if np.isfinite(cone_domain(cone)[0]):
         return random_effect(rng, n)
     return random_hermitian(rng, n)
 
@@ -70,49 +72,45 @@ def random_ds_element(
 
 
 def random_monotone_bijection(
-    rng: np.random.Generator,
-    cone: str = SELF_ADJOINT,
-    grid: int | None = None,
-    fix_zero: bool = False,
+    rng: np.random.Generator, cone: str = SELF_ADJOINT, grid: int | None = None
 ) -> MonotoneBijection:
-    """Random piecewise-linear bijection of the cone's scalar domain.
+    """Random piecewise-linear bijection of the cone's scalar domain. It
+    fixes the domain's finite ends, and 0 on the whole line, where the
+    image of 0 would otherwise be a central shift.
 
-    When grid is given, interior knots sit on multiples of 1/grid so the
-    map is reproduced exactly by uniform-grid sampling at resolution >= grid.
+    When grid is given, interior knots of a map of [0, 1] sit on multiples
+    of 1/grid so the map is reproduced exactly by uniform-grid sampling at
+    resolution >= grid.
     """
     def increasing(lo, hi, k):
         gaps = rng.uniform(0.2, 1.0, k - 1)
         inner = np.concatenate([[0.0], np.cumsum(gaps)])
         return lo + (hi - lo) * inner / inner[-1]
 
-    if cone == EFFECT:
+    lo, hi = cone_domain(cone)
+    if np.isfinite(hi):
         if grid is not None:
             interior = 1 + rng.choice(grid - 1, size=min(_N_KNOTS, grid - 1), replace=False)
-            knots = np.concatenate([[0.0], np.sort(interior) / grid, [1.0]])
+            knots = np.concatenate([[lo], np.sort(interior) / grid, [hi]])
         else:
-            knots = increasing(0.0, 1.0, _N_KNOTS + 2)
-        values = increasing(0.0, 1.0, len(knots))
+            knots = increasing(lo, hi, _N_KNOTS + 2)
+        values = increasing(lo, hi, len(knots))
         return MonotoneBijection.piecewise_linear(knots, values)
-    if cone == POSITIVE:
-        hi = rng.uniform(1.0, 3.0)
-        knots = increasing(0.0, hi, _N_KNOTS + 2)
-        values = increasing(0.0, rng.uniform(1.0, 3.0), len(knots))
+    if np.isfinite(lo):
+        knots = increasing(lo, rng.uniform(1.0, 3.0), _N_KNOTS + 2)
+        values = increasing(lo, rng.uniform(1.0, 3.0), len(knots))
         return MonotoneBijection.piecewise_linear(
             knots, values, right_slope=rng.uniform(0.5, 2.0)
         )
-    lo, hi = -rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)
-    vlo, vhi = -rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)
-    if fix_zero:
-        half = max(1, _N_KNOTS // 2)
-        knots = np.concatenate(
-            [np.sort(rng.uniform(lo, -0.05, half)), [0.0], np.sort(rng.uniform(0.05, hi, half))]
-        )
-        values = np.concatenate(
-            [np.sort(rng.uniform(vlo, -0.05, half)), [0.0], np.sort(rng.uniform(0.05, vhi, half))]
-        )
-    else:
-        knots = increasing(lo, hi, _N_KNOTS + 2)
-        values = increasing(vlo, vhi, _N_KNOTS + 2)
+    left, right = -rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)
+    vleft, vright = -rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)
+    half = max(1, _N_KNOTS // 2)
+    knots = np.concatenate(
+        [np.sort(rng.uniform(left, -0.05, half)), [0.0], np.sort(rng.uniform(0.05, right, half))]
+    )
+    values = np.concatenate(
+        [np.sort(rng.uniform(vleft, -0.05, half)), [0.0], np.sort(rng.uniform(0.05, vright, half))]
+    )
     return MonotoneBijection.piecewise_linear(
         knots, values, left_slope=rng.uniform(0.5, 2.0), right_slope=rng.uniform(0.5, 2.0)
     )
@@ -159,7 +157,6 @@ def random_direct_sum_iso(
     profile: BlockProfile,
     cone: str = SELF_ADJOINT,
     tau_kinds: tuple[str, ...] = ("unitary", "shear"),
-    fix_zero: bool = False,
 ) -> DirectSumIso:
     """Random blockwise isomorphism over the given domain profile; the
     codomain profile is the domain profile permuted by a random
@@ -168,7 +165,7 @@ def random_direct_sum_iso(
     codomain = BlockProfile(tuple(profile.dims[j] for j in pi))
     blocks = []
     for d in profile.dims:
-        f = random_monotone_bijection(rng, cone, fix_zero=fix_zero)
+        f = random_monotone_bijection(rng, cone)
         kind = tau_kinds[int(rng.integers(len(tau_kinds)))]
         blocks.append(FactorCanonicalIso(f, random_projection_isomorphism(rng, d, kind), cone))
     return DirectSumIso(profile, codomain, pi, tuple(blocks), cone)

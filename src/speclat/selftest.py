@@ -27,7 +27,7 @@ from .io import matrix_to_json
 from .isos import DirectSumIso, FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
 from .linalg import is_psd
 from .monotone import MonotoneBijection
-from .order import distributive_check, pos_neg_parts, spec_join, spec_leq, spec_meet
+from .order import cone_domain, distributive_check, pos_neg_parts, spec_join, spec_leq, spec_meet
 from .projections import proj_join, proj_leq
 from .recover import DirectSumIsoDecomposer, is_orthoiso, reassembly_residuals, sample_scalar_action
 from .sampling import (
@@ -293,7 +293,7 @@ def check_pos_neg_transport(
     worst = 0.0
     for _ in range(samples):
         n = int(rng.integers(2, 5))
-        f = random_monotone_bijection(rng, "sa", fix_zero=True)
+        f = random_monotone_bijection(rng, "sa")
         tau = random_projection_isomorphism(rng, n, "unitary" if rng.uniform() < 0.5 else "shear")
         phi = FactorCanonicalIso(f, tau, "sa")
         x = random_hermitian(rng, n)
@@ -370,19 +370,6 @@ def check_center_distributive(
     )
 
 
-def _shifted_oracle(iso: DirectSumIso, shift: DirectSumElement | None, tol) -> OrderIsoOracle:
-    base = OrderIsoOracle.from_iso(iso, tol)
-    if shift is None:
-        return base
-    return OrderIsoOracle(
-        base.domain_profile,
-        base.codomain_profile,
-        base.cone,
-        forward=lambda x: base.forward(x) + shift,
-        inverse=lambda y: base.inverse(y - shift),
-    )
-
-
 def check_structure_recovery(
     rng, isos: int = 100, fresh: int = 200, shift_tol: float = 1e-8,
     fresh_tol: float = 1e-6, tol: ToleranceConfig = DEFAULT_TOL,
@@ -395,16 +382,14 @@ def check_structure_recovery(
     for i in range(isos):
         profile = _PROFILES[i % len(_PROFILES)]
         cone = cones[i % len(cones)]
-        iso = random_direct_sum_iso(
-            rng, profile, cone, tau_kinds=("unitary", "shear"), fix_zero=(cone == "sa")
-        )
+        iso = random_direct_sum_iso(rng, profile, cone, tau_kinds=("unitary", "shear"))
         shift = None
-        if cone == "sa":
+        if not np.isfinite(cone_domain(cone)[0]):
             shift = DirectSumElement(
                 iso.codomain_profile,
                 [rng.uniform(-2.0, 2.0) * np.eye(d) for d in iso.codomain_profile.dims],
             )
-        oracle = _shifted_oracle(iso, shift, tol)
+        oracle = OrderIsoOracle.from_iso(iso, tol).shifted(shift)
         dec = DirectSumIsoDecomposer(
             n_verify=20, random_state=int(rng.integers(2**32)), tol=tol
         ).fit(oracle)
@@ -414,7 +399,7 @@ def check_structure_recovery(
                 False,
                 f"instance {i}: permutation {dec.permutation_} != {iso.pi}",
             )
-        if cone == "sa":
+        if shift is not None:
             worst_shift = max(
                 worst_shift,
                 max(max_abs(a - b) for a, b in zip(dec.shift_.blocks, shift.blocks)),

@@ -34,10 +34,12 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+@np.errstate(invalid="ignore")
 def check_hermitian(a, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> np.ndarray:
     """Validate hermiticity within eps_proj and return the exactly
     symmetrized matrix (A + A*)/2, which is A itself when A is exactly
-    Hermitian. Entries that are not finite are refused."""
+    Hermitian. Entries that are not finite are refused, with no
+    RuntimeWarning first."""
     m = as_square_matrix(a, name)
     mh = m.conj().T
     diff = m - mh

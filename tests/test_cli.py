@@ -149,6 +149,11 @@ def test_center(workdir, capsys):
     write_diag(workdir / "nz.json", [2.0, 1.0], [-1.0, -1.0, -1.0])
     assert main(["center", str(workdir / "nz.json"), "--json"]) == 1
     capsys.readouterr()
+    # the trace of this block overflows; its entries do not
+    write_diag(workdir / "big.json", [1e308, 1e308])
+    code, report = run_json(capsys, ["center", str(workdir / "big.json")])
+    assert code == 0
+    assert report["result"]["scalars"] == [1e308]
 
 
 def test_apply_iso(workdir, capsys, rng):

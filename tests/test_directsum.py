@@ -215,8 +215,8 @@ def test_an_element_stores_its_blocks_symmetrized():
     assert x.blocks[1].tobytes() == exact.astype(complex).tobytes()
 
 
-# inf - inf in the check warns before the refusal
-@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+# the refusal comes with no RuntimeWarning before it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "bad",
     [np.array([[1.0, np.inf], [np.inf, 1.0]]), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])],
@@ -237,7 +237,15 @@ def test_non_finite_blocks_are_refused_at_every_entry_point(bad):
         check_hermitian(bad)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_central_scalars_of_blocks_whose_trace_overflows():
+    """A finite c * 1 whose trace is out of the floats is still central."""
+    for c, d in ((1e308, 2), (0.9e308, 2), (0.6e308, 3)):
+        x = DirectSumElement(BlockProfile((d, 1)), [c * np.eye(d), [[-1.0]]])
+        assert ds_central_scalars(x) == [c, -1.0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:overflow encountered in add")
 def test_blocks_that_overflow_in_element_arithmetic_are_refused_as_non_finite():
     """x + x does not check its blocks, and a sum of finite blocks can
     overflow. The isos, the eigensolver and ds_central_scalars refuse such

@@ -93,3 +93,30 @@ def test_every_private_module_level_name_has_a_reader():
             for d in defined:
                 if d.startswith("_") and not d.startswith("__"):
                     assert d in reads, f"{name} defines {d} and nothing in the package reads it"
+
+
+_CONE_NAMES = {"sa", "pos", "eff", "SELF_ADJOINT", "POSITIVE", "EFFECT"}
+
+
+def _names_a_cone(node: ast.expr) -> bool:
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and node.value in _CONE_NAMES
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return (node.id if isinstance(node, ast.Name) else node.attr) in _CONE_NAMES
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_cone(e) for e in node.elts)
+    return False
+
+
+def test_only_order_compares_a_cone_with_a_name():
+    """A cone is its scalar interval: outside order.py, every decision on
+    a cone reads the ends of order.cone_domain, and no code compares a
+    cone with one of the names."""
+    for name, tree in _modules().items():
+        if name == "order.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                assert not any(_names_a_cone(o) for o in (node.left, *node.comparators)), (
+                    f"{name}:{node.lineno} compares with a cone name"
+                )

@@ -24,6 +24,7 @@ from speclat.linalg import eigh, orthonormal_range
 from speclat.monotone import MonotoneBijection
 from speclat.order import spec_join, spec_leq, spec_meet
 from speclat.sampling import (
+    random_direct_sum_iso,
     random_ds_element,
     random_effect,
     random_hermitian,
@@ -576,3 +577,28 @@ def test_a_block_decides_its_shape_once(rng, count_calls):
         for _ in range(3):
             iso.apply(random_hermitian(rng, 4))
     assert len(svds) == 2
+
+
+def test_a_shifted_oracle_is_the_closures_it_replaced_bit_for_bit(rng):
+    """shifted(s) is x -> forward(x) + s, y -> inverse(y - s), and
+    shifted(-s) takes s off again as y - s and y + s did; None is self."""
+    profile = BlockProfile((2, 3))
+    iso = random_direct_sum_iso(rng, profile, "sa")
+    cod = iso.codomain_profile
+    oracle = OrderIsoOracle.from_iso(iso)
+    assert oracle.shifted(None) is oracle
+    shift = DirectSumElement(cod, [rng.uniform(-2.0, 2.0) * np.eye(d) for d in cod.dims])
+    shifted = oracle.shifted(shift)
+    unshifted = shifted.shifted(-shift)
+    for o in (shifted, unshifted):
+        assert (o.domain_profile, o.codomain_profile, o.cone) == (profile, cod, "sa")
+
+    def same(a: DirectSumElement, b: DirectSumElement) -> bool:
+        return all(p.tobytes() == q.tobytes() for p, q in zip(a.blocks, b.blocks))
+
+    for _ in range(10):
+        x, y = random_ds_element(rng, profile, "sa"), random_ds_element(rng, cod, "sa")
+        assert same(shifted.forward(x), oracle.forward(x) + shift)
+        assert same(shifted.inverse(y), oracle.inverse(y - shift))
+        assert same(unshifted.forward(x), shifted.forward(x) - shift)
+        assert same(unshifted.inverse(y), shifted.inverse(y + shift))

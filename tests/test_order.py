@@ -270,7 +270,8 @@ def test_join_and_meet_bound_nearly_aligned_operands(rng, eps):
 NAN, INF, EYE = np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]), np.eye(2)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+# the refusal comes with no RuntimeWarning before it
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "probe",
     [

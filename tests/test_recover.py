@@ -166,7 +166,7 @@ def test_decompose_positive_cone(rng):
 
 def test_decompose_sa_with_shift(rng):
     profile = BlockProfile((2, 2, 3))
-    iso = random_direct_sum_iso(rng, profile, "sa", fix_zero=True)
+    iso = random_direct_sum_iso(rng, profile, "sa")
     cod = iso.codomain_profile
     shift = DirectSumElement(cod, [c * np.eye(d) for c, d in zip([0.5, -1.0, 2.0], cod.dims)])
     base = OrderIsoOracle.from_iso(iso)
@@ -187,7 +187,7 @@ def test_block_oracles_invert_their_forward(rng, cone, dims):
     block, on sa through a central shift that both directions must remove
     and add back."""
     profile = BlockProfile(dims)
-    iso = random_direct_sum_iso(rng, profile, cone, fix_zero=(cone == "sa"))
+    iso = random_direct_sum_iso(rng, profile, cone)
     cod = iso.codomain_profile
     base = OrderIsoOracle.from_iso(iso)
     oracle = base
@@ -404,7 +404,7 @@ def test_reassembly_residuals_reproduce_the_decomposer_verification(rng, cone):
     oracle sees only its own slot's share of, so the residuals are nonzero,
     below eps_recon, and depend on the samples."""
     profile = BlockProfile((2, 3, 2))
-    iso = random_direct_sum_iso(rng, profile, cone, fix_zero=(cone == "sa"))
+    iso = random_direct_sum_iso(rng, profile, cone)
     base = OrderIsoOracle.from_iso(iso)
 
     def fwd(x):
@@ -450,7 +450,7 @@ def test_decomposer_refuses_nan_images_off_the_center(cone):
     reassembly can refuse it. Python's max(0.0, nan) is 0.0 and nan > bound
     is False, so such an oracle passed with max_residual_ 0.0."""
     profile = BlockProfile((2, 3))
-    iso = random_direct_sum_iso(rng_from(4), profile, cone, fix_zero=(cone == "sa"))
+    iso = random_direct_sum_iso(rng_from(4), profile, cone)
     base = OrderIsoOracle.from_iso(iso)
 
     def central_only(apply, profile):
@@ -529,3 +529,24 @@ def test_is_orthoiso_refuses_nan_images(dims):
     assert not check.ok
     assert check.witness["direction"] == "forward"
     assert np.isnan(check.witness["image_product_norm"])
+
+
+def test_a_decomposer_validates_images_under_its_own_tolerances(rng):
+    """A black box whose images are 1e-8 off Hermitian passes a decomposer
+    built with eps_proj = 1e-6, and is refused under the default 1e-9."""
+    profile = BlockProfile((2, 3))
+    iso = random_direct_sum_iso(rng, profile, "eff")
+    base = OrderIsoOracle.from_iso(iso)
+
+    def skewed(x: DirectSumElement) -> DirectSumElement:
+        blocks = [b.copy() for b in base.forward(x).blocks]
+        for b in blocks:
+            b[0, 1] += 1e-8
+        return DirectSumElement(iso.codomain_profile, blocks, validate=False)
+
+    oracle = OrderIsoOracle(profile, iso.codomain_profile, "eff", skewed, base.inverse)
+    loose = ToleranceConfig(eps_eig=1e-6, eps_proj=1e-6, eps_recon=1e-6)
+    dec = DirectSumIsoDecomposer(n_verify=5, random_state=1, tol=loose).fit(oracle)
+    assert dec.permutation_ == iso.pi
+    with pytest.raises(DecompositionError, match="not Hermitian.*> 1.0e-09"):
+        DirectSumIsoDecomposer(n_verify=5, random_state=1).fit(oracle)
