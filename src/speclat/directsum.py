@@ -191,13 +191,13 @@ def ds_pos_neg_parts(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL):
 def scalar_block(block: np.ndarray, threshold: float, c: float | None = None) -> float | None:
     """c when the block is within threshold of c * identity, entry by entry,
     else None (also for a NaN entry, or an infinite c), with no
-    RuntimeWarning; c defaults to the block's mean diagonal entry, summed
-    as diag / d where the trace of a finite block overflows."""
+    RuntimeWarning. c defaults to the midpoint of the diagonal's range, the
+    c nearest every diagonal entry, exact on x * 1 at any magnitude."""
     d = block.shape[0]
     if c is None:
-        c = float(np.real(np.trace(block))) / d
-        if not np.isfinite(c):
-            c = float(np.sum(np.real(np.diagonal(block)) / d))
+        diagonal = np.real(np.diagonal(block))
+        lo, hi = float(diagonal.min()), float(diagonal.max())
+        c = lo + (hi - lo) / 2
     return c if max_abs(block - c * np.eye(d)) <= threshold else None
 
 

@@ -82,12 +82,14 @@ class MonotoneBijection:
         A piecewise-linear map interpolates between its knots and runs
         along its affine tails outside them. When every entry lies within
         the knots, the tail passes are skipped: inside the knots they
-        return the interpolated values unchanged.
+        return the interpolated values unchanged. A power that overflows
+        returns +-inf, with no RuntimeWarning.
         """
         scalar = np.isscalar(t)
         t = np.asarray(t, dtype=float)
         if self.kind == "power":
-            y = np.sign(t) * np.abs(t) ** self.exponent
+            with np.errstate(over="ignore"):
+                y = np.sign(t) * np.abs(t) ** self.exponent
         else:
             knots, values = self.knots, self.values
             # asarray: a 0-d input stays a 0-d array, as the tail passes

@@ -151,22 +151,23 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
     every operand's eigenvectors above l, and F_l only grows as l falls. h
     holds an orthonormal basis of E^join_l, starting from the identity above
     the top breakpoint. Stepping below a breakpoint l, only the eigenvectors
-    that enter F there are new: split_range of h* B, for B those
-    eigenvectors, gives the directions of h they reach, which leave E^join
-    and carry l, and the directions that stay, the next h. Below the lowest
-    breakpoint each operand's eigenvectors span everything, so what is left
-    of h carries that breakpoint with no split.
+    that enter F there are new: they split h into reach, the directions of
+    h they reach, which leave E^join and carry l, and stay, the rest. Below
+    the lowest breakpoint each operand's eigenvectors span everything, so
+    what is left of h carries that breakpoint with no split.
 
-    Where a single eigenvector b enters, the one singular value of h* b is
-    the residual of b against the directions already taken, so a run of
-    such steps is a Gram-Schmidt sequence, and one Householder QR of
-    h* [b_1 ... b_w] decides it: the t-th step takes the direction
-    (h Q)[:, t] exactly when |R_tt| > eps_proj, split_range's sine rule,
-    and h Q[:, t:] is the next h. A run takes every one-column step in a
-    row, up to the k directions left in h, and stops at its first refused
-    column, whose direction stays in h. Steps where several eigenvectors
-    enter (ties, commuting operands, x v x) and runs of one step, where
-    numpy's SVD of a column costs less than its QR, go through split_range.
+    Where several eigenvectors B enter (ties, commuting operands, x v x),
+    split_range of h* B decides the step. Where a single eigenvector b
+    enters, the one singular value of h* b is the residual of b against the
+    directions already taken, so a run of such steps is a Gram-Schmidt
+    sequence, and one Householder QR of h* [b_1 ... b_w] decides it: the
+    t-th step takes the direction (h Q)[:, t] exactly when |R_tt| >
+    eps_proj, split_range's sine rule. A run takes every one-column step in
+    a row, up to the k directions left in h, and stops at its first refused
+    column, whose direction stays in h; a run of one step goes through
+    split_range, since numpy's SVD of a column costs less than its QR.
+    Either way one update moves h reach out of h, and a step that takes no
+    direction leaves h as it is.
     """
     n = systems[0].n
     reps = merged_breakpoints(systems, tol)
@@ -189,27 +190,22 @@ def _join(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
         while widths[i] == 1 and w < k and i - w > 0 and widths[i - w] == 1:
             w += 1
         if w == 1:
-            width = widths[i]
-            reach, stay = split_range(h.conj().T @ columns[:, pos : pos + width], tol)
-            new = stay.shape[1]
-            f[:, :new], f[:, new:k] = h @ stay, h @ reach
-            values[new:k] = reps[i]
-            k, i, pos = new, i - 1, pos + width
-            continue
-        # steps i, i - 1, ..., i - w + 1, one entering column each
-        q, r = np.linalg.qr(h.conj().T @ columns[:, pos : pos + w], mode="complete")
-        taken = np.abs(np.diagonal(r)) > tol.eps_proj
-        t = w if taken.all() else int(taken.argmin())
-        if t:
-            g = h @ q
-            f[:, : k - t], f[:, k - t : k] = g[:, t:], g[:, :t]
-            values[k - t : k] = reps[i - t + 1 : i + 1][::-1]
-            k -= t
-        if t < w:
-            # step i - t takes nothing; its column's direction stays in h
-            i, pos = i - t - 1, pos + t + 1
+            # one step of widths[i] columns, whose reach carries reps[i]
+            reach, stay = split_range(h.conj().T @ columns[:, pos : pos + widths[i]], tol)
+            t, carried, done, used = reach.shape[1], reps[i], 1, widths[i]
         else:
-            i, pos = i - w, pos + w
+            # steps i, i - 1, ..., i - w + 1, one column each: the first t
+            # take theirs, and step i - t, when t < w, takes nothing
+            q, r = np.linalg.qr(h.conj().T @ columns[:, pos : pos + w], mode="complete")
+            taken = np.abs(np.diagonal(r)) > tol.eps_proj
+            t = w if taken.all() else int(taken.argmin())
+            reach, stay, carried = q[:, :t], q[:, t:], reps[i - t + 1 : i + 1][::-1]
+            done = used = min(t + 1, w)
+        if t:
+            f[:, : k - t], f[:, k - t : k] = h @ stay, h @ reach
+            values[k - t : k] = carried
+            k -= t
+        i, pos = i - done, pos + used
     values[:k] = reps[0]
     return spectral_sum(f, values)
 

@@ -154,6 +154,11 @@ def test_center(workdir, capsys):
     code, report = run_json(capsys, ["center", str(workdir / "big.json")])
     assert code == 0
     assert report["result"]["scalars"] == [1e308]
+    # trace / 3 of this exact scalar block rounds by more than eps_proj
+    write_diag(workdir / "large.json", [195626725.48360986] * 3)
+    code, report = run_json(capsys, ["center", str(workdir / "large.json")])
+    assert code == 0
+    assert report["result"]["scalars"] == [195626725.48360986]
 
 
 def test_apply_iso(workdir, capsys, rng):

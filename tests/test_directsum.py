@@ -245,6 +245,24 @@ def test_central_scalars_of_blocks_whose_trace_overflows():
         assert ds_central_scalars(x) == [c, -1.0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exact_scalar_blocks_are_central_at_every_magnitude():
+    """An exact x * 1 is central with scalar x however large x is. The mean
+    diagonal entry trace / d rounds, and eps_proj is absolute, so from
+    about 1e7 on that c was refused: at seed 3, 31, 37 and 33 of 200
+    blocks at scales 1e8, 1e10 and 1e100."""
+    rng = np.random.default_rng(3)
+    for scale in (1e6, 1e8, 1e10, 1e100, 1e300, 3.3e307):
+        for _ in range(200):
+            x = float(rng.uniform(1.0, 2.0) * scale)
+            z = DirectSumElement(BlockProfile((3,)), [x * np.eye(3)])
+            assert ds_central_scalars(z) == [x]
+    # the midpoint of the diagonal's range is the c nearest every entry:
+    # within eps_proj of each here, where the mean is 1.2e-9 from 1.0
+    w = DirectSumElement(BlockProfile((3,)), [np.diag([1.0, 1.0 + 1.8e-9, 1.0 + 1.8e-9])])
+    assert ds_central_scalars(w) == [pytest.approx(1.0 + 0.9e-9, abs=1e-15)]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning", "ignore:overflow encountered in add")
 def test_blocks_that_overflow_in_element_arithmetic_are_refused_as_non_finite():
     """x + x does not check its blocks, and a sum of finite blocks can

@@ -120,3 +120,36 @@ def test_only_order_compares_a_cone_with_a_name():
                 assert not any(_names_a_cone(o) for o in (node.left, *node.comparators)), (
                     f"{name}:{node.lineno} compares with a cone name"
                 )
+
+
+def _numpy_eigensolver_sites(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing top-level definition, line) of every np.linalg.eigh or
+    np.linalg.eigvalsh in a module, and of every import of either name
+    from numpy.linalg."""
+    sites = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+                if isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+                    sites.append((owner, node.lineno))
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                if any(alias.name in ("eigh", "eigvalsh") for alias in node.names):
+                    sites.append((owner, node.lineno))
+    return sites
+
+
+def test_only_linalg_calls_numpy_eigensolvers():
+    """linalg._solve, the memo of recent eigensystems behind linalg.eigh,
+    is the one caller of numpy's Hermitian eigensolvers, so no helper (as
+    is_psd once did) solves a matrix the memo already holds. The one
+    exception is the selftest's Loewner reference, selftest._min_eig,
+    which must not share the code it checks."""
+    for name, tree in _modules().items():
+        if name == "linalg.py":
+            continue
+        for owner, line in _numpy_eigensolver_sites(tree):
+            assert (name, owner) == ("selftest.py", "_min_eig"), (
+                f"{name}:{line} calls numpy's eigensolver outside linalg.eigh"
+            )
+    assert [owner for owner, _ in _numpy_eigensolver_sites(_modules()["linalg.py"])] == ["_solve"]

@@ -437,6 +437,7 @@ def test_apply_monotone_cone_domain_guard():
         functional_calculus(f, np.diag([0.5, 0.5]).astype(complex), "eff")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_apply_monotone_matches_family_formula(rng):
     """The canonical map with identity tau equals the family formula
     element_of(SpectralFamily(f(breakpoints), cumulative)), an independent
