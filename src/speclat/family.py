@@ -88,15 +88,22 @@ def family_of(x, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
     merge into one breakpoint at their multiplicity-weighted mean); the
     cumulative projection at breakpoint i spans all eigenvectors with
     eigenvalue at most l_i.
+
+    The projections are the slices of one (m, n, n) stack, built as prefix
+    updates P_i = P_{i-1} + W_i W_i*, where W_i holds cluster i's
+    eigenvectors: O(n^3) in all. Each update is exactly Hermitian
+    (spectral_sum), and so is each sum of them.
     """
     es = eigh(x, tol)
-    cumulative = []
-    for count in es.offsets[:-1]:
-        cumulative.append(spectral_sum(es.vectors[:, :count], 1.0))
-    cumulative.append(np.eye(es.n, dtype=np.complex128))
+    stack = np.empty((len(es.offsets), es.n, es.n), dtype=np.complex128)
+    prev, start = 0.0, 0
+    for p, end in zip(stack, es.offsets[:-1]):
+        np.add(prev, spectral_sum(es.vectors[:, start:end], 1.0), out=p)
+        prev, start = p, end
+    stack[-1] = np.eye(es.n)
     # ascending prefix projections of an orthonormal eigenbasis satisfy the
     # axioms by construction
-    return SpectralFamily(es.breakpoints, cumulative, tol, validate=False)
+    return SpectralFamily(es.breakpoints, list(stack), tol, validate=False)
 
 
 def element_of(family: SpectralFamily) -> np.ndarray:

@@ -103,7 +103,9 @@ def cluster_ends(points: np.ndarray, eps: float) -> np.ndarray:
 def spectral_sum(vectors: np.ndarray, values) -> np.ndarray:
     """V diag(values) V* as an exactly Hermitian matrix."""
     m = (vectors * values) @ vectors.conj().T
-    return (m + m.conj().T) / 2.0
+    m += m.conj().T
+    m *= 0.5
+    return m
 
 
 def eigh(x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> EigenSystem:

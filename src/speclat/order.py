@@ -240,7 +240,9 @@ def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np
     """
     es = eigh(x, tol)
     v, w = es.vectors, es.values
-    return spectral_sum(v, np.maximum(w, 0.0)), spectral_sum(v, np.maximum(-w, 0.0))
+    # w ascends, so w[k:] > 0 >= w[:k]; 0.0 - w keeps a zero weight unsigned
+    k = int(np.searchsorted(w, 0.0, side="right"))
+    return spectral_sum(v[:, k:], w[k:]), spectral_sum(v[:, :k], 0.0 - w[:k])
 
 
 def distributive_check(

@@ -11,6 +11,21 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def spectra():
+    """spectra(rng, n) yields generic, exactly tied, near-tied (inside
+    eps_eig) and chained (steps inside eps_eig, total span beyond it)
+    spectra of length n."""
+
+    def draw(rng, n):
+        yield rng.standard_normal(n)
+        yield np.sort(rng.integers(0, 3, n).astype(float))
+        yield np.sort(rng.integers(0, 3, n) + rng.uniform(-3e-9, 3e-9, n))
+        yield np.sort(rng.integers(0, 2, n) + np.arange(n) * rng.uniform(2e-9, 9e-9))
+
+    return draw
+
+
 @pytest.fixture(autouse=True)
 def empty_eigh_memo():
     """Each test starts with an empty eigh memo, so that a count of solves

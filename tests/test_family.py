@@ -3,8 +3,9 @@ import pytest
 
 from speclat.errors import InvalidFamilyError
 from speclat.family import SpectralFamily, element_of, family_of, merged_breakpoints
+from speclat.linalg import eigh, spectral_sum
 from speclat.projections import proj_leq
-from speclat.sampling import random_hermitian, random_projection
+from speclat.sampling import random_hermitian, random_projection, random_with_spectrum
 from speclat.validation import max_abs
 
 P_E1 = np.diag([1.0, 0.0]).astype(complex)
@@ -38,6 +39,42 @@ def test_family_defining_inequalities(rng):
             comp = np.eye(3) - p
             assert min_eig(lam * p - x @ p) >= -1e-8
             assert min_eig(x @ comp - lam * comp) >= -1e-8
+
+
+def test_family_of_matches_the_prefix_reference(rng, spectra):
+    """The prefix updates agree within 1e-14 with each projection built on
+    its own over a prefix of the eigenbasis, on generic, tied, near-tied
+    and chained spectra at n = 1-64; breakpoints are the eigensystem's bit
+    for bit, and every projection is exactly Hermitian."""
+    for n in range(1, 65):
+        for w in spectra(rng, n):
+            x = random_with_spectrum(rng, w)
+            fam = family_of(x)
+            es = eigh(x)
+            reference = [spectral_sum(es.vectors[:, :c], 1.0) for c in es.offsets[:-1]]
+            assert fam.breakpoints.tobytes() == es.breakpoints.tobytes()
+            assert len(fam.cumulative) == len(reference) + 1
+            for p, q in zip(fam.cumulative, reference):
+                assert max_abs(p - q) <= 1e-14
+            assert (fam.cumulative[-1] == np.eye(n)).all()
+            for p in fam.cumulative:
+                assert (p == p.conj().T).all()
+
+
+def test_family_of_passes_each_eigenvector_to_spectral_sum_once(rng, spectra, count_calls):
+    """family_of's spectral_sum calls take the eigenbasis one cluster at a
+    time: together, in order, they are the columns below the last cluster,
+    each column once."""
+    calls = count_calls(spectral_sum)
+    for n in (1, 2, 5, 16, 33):
+        for w in spectra(rng, n):
+            x = random_with_spectrum(rng, w)
+            calls.clear()
+            family_of(x)
+            es = eigh(x)
+            below_last = es.offsets[-2] if len(es.offsets) > 1 else 0
+            passed = np.hstack([es.vectors[:, :0], *(vectors for vectors, _ in calls)])
+            assert passed.tobytes() == es.vectors[:, :below_last].tobytes()
 
 
 def test_element_of_examples():

@@ -224,21 +224,25 @@ def _reference_eigh(x, eps_eig=1e-8):
     return values, vectors, [hi for _, hi in bounds], breakpoints
 
 
-def _spectra(rng, n):
-    """Generic, exactly tied, near-tied (inside eps_eig) and chained (steps
-    inside eps_eig, total span beyond it) spectra of length n."""
-    yield rng.standard_normal(n)
-    yield np.sort(rng.integers(0, 3, n).astype(float))
-    yield np.sort(rng.integers(0, 3, n) + rng.uniform(-3e-9, 3e-9, n))
-    yield np.sort(rng.integers(0, 2, n) + np.arange(n) * rng.uniform(2e-9, 9e-9))
+def test_spectral_sum_symmetrizes_in_place_with_the_bytes_of_the_mean(rng):
+    """spectral_sum's in-place m += m*; m *= 0.5 gives the bytes of
+    (m + m*) / 2.0, on complex unitary columns and on real columns (where
+    m.conj() is m itself), with weights at scales from 1e-300 to 1e300."""
+    for i in range(2000):
+        n = int(rng.integers(1, 40))
+        k = int(rng.integers(0, n + 1))
+        v = rng.standard_normal((n, k)) if i % 3 == 0 else random_unitary(rng, n)[:, :k]
+        w = rng.standard_normal(k) * 10.0 ** int(rng.integers(-300, 301))
+        m = (v * w) @ v.conj().T
+        assert spectral_sum(v, w).tobytes() == ((m + m.conj().T) / 2.0).tobytes()
 
 
-def test_eigh_matches_per_column_reference(rng):
+def test_eigh_matches_per_column_reference(rng, spectra):
     """values, vectors, offsets and breakpoints agree bit for bit with the
     reference, whose vectors are np.linalg.eigh's, in a random basis and in
     permuted coordinates (exact zeros)."""
     for n in [*range(1, 9)] * 12 + [16, 24, 32, 48, 64]:
-        for w in _spectra(rng, n):
+        for w in spectra(rng, n):
             for u in (random_unitary(rng, n), np.eye(n)[rng.permutation(n)]):
                 x = (u * w) @ u.conj().T
                 values, vectors, offsets, breakpoints = _reference_eigh(x)
@@ -249,13 +253,13 @@ def test_eigh_matches_per_column_reference(rng):
                 assert es.breakpoints.tobytes() == breakpoints.tobytes()
 
 
-def test_column_breakpoints_repeat_each_breakpoint_over_its_cluster(rng):
+def test_column_breakpoints_repeat_each_breakpoint_over_its_cluster(rng, spectra):
     """column_breakpoints is breakpoints itself when no eigenvalue is tied.
     With and without ties it equals np.repeat(breakpoints, counts) bit for
     bit, also for a -0.0 eigenvalue, which breakpoints store as +0.0."""
     systems = [EigenSystem(np.array([-0.0, 1.0]), np.eye(2, dtype=complex), np.array([1, 2]))]
     for n in range(1, 7):
-        for w in _spectra(rng, n):
+        for w in spectra(rng, n):
             systems.append(eigh(random_with_spectrum(rng, w)))
     tied = 0
     for es in systems:
@@ -265,7 +269,7 @@ def test_column_breakpoints_repeat_each_breakpoint_over_its_cluster(rng):
     assert 0 < tied < len(systems)
 
 
-def test_merged_breakpoints_matches_reference_loop(rng):
+def test_merged_breakpoints_matches_reference_loop(rng, spectra):
     """merged_breakpoints against a reference loop, on point sets with
     exact repeats, near repeats and chains wider than eps_eig."""
 
@@ -274,7 +278,7 @@ def test_merged_breakpoints_matches_reference_loop(rng):
             self.breakpoints = breakpoints
 
     for _ in range(300):
-        sets = [np.sort(w) for w in _spectra(rng, int(rng.integers(1, 12)))]
+        sets = [np.sort(w) for w in spectra(rng, int(rng.integers(1, 12)))]
         pts = np.sort(np.concatenate(sets))
         reps, start, top = [], pts[0], pts[0]
         for p in pts[1:]:

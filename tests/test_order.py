@@ -406,6 +406,26 @@ def test_pos_neg_parts_identities(rng):
         assert is_psd(plus) and is_psd(minus)
 
 
+def test_pos_neg_parts_match_clipping_over_the_whole_basis(rng, spectra):
+    """Each part, summed over its own eigenvectors only, agrees with the
+    reference that sums both parts over every eigenvector with clipped
+    weights, within the rounding of an n-term sum (n eps max|l|). Both
+    parts are exactly Hermitian, and a zero eigenvalue leaves no -0.0."""
+    eps = np.finfo(float).eps
+    for n in range(1, 25):
+        for w in spectra(rng, n):
+            x = random_with_spectrum(rng, w - np.median(w))
+            es = eigh(x)
+            plus, minus = pos_neg_parts(x)
+            bound = n * eps * max_abs(es.values)
+            assert max_abs(plus - spectral_sum(es.vectors, np.maximum(es.values, 0.0))) <= bound
+            assert max_abs(minus - spectral_sum(es.vectors, np.maximum(-es.values, 0.0))) <= bound
+            assert (plus == plus.conj().T).all() and (minus == minus.conj().T).all()
+    for d in ([-2.0, 0.0, 3.0], [-2.0, -0.0, 3.0], [0.0, 0.0]):
+        for part in pos_neg_parts(np.diag(d).astype(complex)):
+            assert not np.signbit(part.view(float)).any()
+
+
 def functional_calculus(f, x, cone="sa"):
     """Monotone functional calculus: the canonical isomorphism with identity
     tau, so eigenvalues pass through f and spectral projections stay."""
