@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConeError, DimensionMismatchError, NonFiniteError
-from .family import SpectralFamily, family_of
-from .linalg import spectral_sum
-from .order import _cone_eigh, cone_domain, pos_neg_parts, spec_join, spec_leq, spec_meet
+from .family import SpectralFamily, _family
+from .linalg import _eigh_hermitian, spectral_sum
+from .order import _cone_eigh, _in_cone, _join, _leq, _meet, _pos_neg, cone_domain
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, max_abs
 
@@ -148,40 +148,49 @@ def central_atoms(profile: BlockProfile) -> list[DirectSumElement]:
 def ds_family(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL) -> list[SpectralFamily]:
     """Blockwise spectral families; evaluating every block at a common l
     yields the spectral projection of the direct sum."""
-    return [family_of(b, tol) for b in x.blocks]
+    return [_family(_eigh_hermitian(b, tol), tol) for b in x.blocks]
 
 
 def ds_spec_leq(x: DirectSumElement, y: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Spectral order on the direct sum holds iff it holds in every block."""
     _check_profiles(x.profile, y.profile)
-    return all(spec_leq(a, b, tol) for a, b in zip(x.blocks, y.blocks))
+    return all(
+        _leq(_eigh_hermitian(a, tol), _eigh_hermitian(b, tol), tol) for a, b in zip(x.blocks, y.blocks)
+    )
 
 
 def _blockwise(op, xs, cone: str, tol: ToleranceConfig) -> DirectSumElement:
-    """op (spec_join or spec_meet) applied slot by slot to a nonempty list
-    of direct-sum elements."""
+    """op (order._join or order._meet) applied slot by slot to a nonempty
+    list of direct-sum elements, each block checked against the cone."""
     if not xs:
         raise DimensionMismatchError("supremum/infimum of an empty list")
     profile = xs[0].profile
     for x in xs:
         _check_profiles(profile, x.profile)
-    blocks = [op([x.blocks[j] for x in xs], cone, tol) for j in range(len(profile))]
+    cone_domain(cone)
+    blocks = [
+        op([
+            _in_cone(_eigh_hermitian(x.blocks[j], tol), cone, tol, f"element[{i}]")
+            for i, x in enumerate(xs)
+        ], tol)
+        for j in range(len(profile))
+    ]
     return DirectSumElement(profile, blocks, validate=False)
 
 
 def ds_spec_join(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumElement:
     """Blockwise supremum of a nonempty list of direct-sum elements."""
-    return _blockwise(spec_join, xs, cone, tol)
+    return _blockwise(_join, xs, cone, tol)
 
 
 def ds_spec_meet(xs, cone: str = "sa", tol: ToleranceConfig = DEFAULT_TOL) -> DirectSumElement:
     """Blockwise infimum of a nonempty list of direct-sum elements."""
-    return _blockwise(spec_meet, xs, cone, tol)
+    return _blockwise(_meet, xs, cone, tol)
 
 
 def ds_pos_neg_parts(x: DirectSumElement, tol: ToleranceConfig = DEFAULT_TOL):
     """Blockwise positive and negative parts."""
-    parts = [pos_neg_parts(b, tol) for b in x.blocks]
+    parts = [_pos_neg(_eigh_hermitian(b, tol)) for b in x.blocks]
     plus = DirectSumElement(x.profile, [p for p, _ in parts], validate=False)
     minus = DirectSumElement(x.profile, [m for _, m in parts], validate=False)
     return plus, minus

@@ -5,15 +5,20 @@ A family is stored as breakpoints l_1 < ... < l_m with cumulative
 projections P_1 < ... < P_m = 1; the value at l is P_i for
 l in [l_i, l_{i+1}) and 0 below l_1. Storing the post-jump projection with
 a closed-left convention makes right-continuity structural: no limits are
-ever computed.
+ever computed. The family of a matrix keeps only its eigensystem, an
+eigenbasis plus cluster offsets, and builds a projection when it is read.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
+from itertools import islice
+
 import numpy as np
 
 from .errors import InvalidFamilyError
-from .linalg import cluster_ends, eigh, spectral_sum
+from .linalg import EigenSystem, cluster_ends, eigh, spectral_sum
 from .projections import proj_leq
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import check_hermitian, max_abs, proj_rank
@@ -33,13 +38,10 @@ class SpectralFamily:
     def __init__(self, breakpoints, cumulative, tol: ToleranceConfig = DEFAULT_TOL, validate: bool = True):
         self.breakpoints = np.asarray(breakpoints, dtype=float).ravel()
         self.cumulative = [np.asarray(p, dtype=np.complex128) for p in cumulative]
+        self.n = self.cumulative[0].shape[0] if self.cumulative else 0
         self.tol = tol
         if validate:
             self._validate()
-
-    @property
-    def n(self) -> int:
-        return self.cumulative[0].shape[0]
 
     def _validate(self) -> None:
         if len(self.breakpoints) == 0 or len(self.breakpoints) != len(self.cumulative):
@@ -81,6 +83,44 @@ class SpectralFamily:
         return f"SpectralFamily(n={self.n}, breakpoints=[{pts}])"
 
 
+class PrefixProjections(Sequence):
+    """The cumulative projections of an eigensystem, built when they are
+    read: P_i = P_{i-1} + W_i W_i* (spectral_sum, exactly Hermitian), where
+    W_i holds cluster i's eigenvectors and P_0 = 0, and the identity in the
+    last slot. It holds the eigensystem only, O(n^2) memory.
+
+    Iterating costs O(n^3) in all and keeps only the projection it last
+    yielded, which it updates into the next: copy a yielded projection
+    before writing into it mid-iteration. cumulative[i] runs the same
+    updates up to i, so it has the bytes that iterating yields at i. Each
+    access returns a new array.
+    """
+
+    def __init__(self, es: EigenSystem):
+        self._es = es
+
+    def __len__(self) -> int:
+        return len(self._es.offsets)
+
+    def __getitem__(self, i):
+        i, m = operator.index(i), len(self)
+        k = i + m if i < 0 else i
+        if not 0 <= k < m:
+            raise IndexError(f"cumulative index {i} out of range for {m} projections")
+        if k == m - 1:
+            return np.eye(self._es.n, dtype=np.complex128)
+        return next(islice(self, k, None))
+
+    def __iter__(self):
+        es = self._es
+        prev, start = 0.0, 0
+        for end in es.offsets[:-1].tolist():
+            prev = np.add(prev, spectral_sum(es.vectors[:, start:end], 1.0))
+            start = end
+            yield prev
+        yield np.eye(es.n, dtype=np.complex128)
+
+
 def family_of(x, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
     """Spectral family of a Hermitian matrix.
 
@@ -89,21 +129,20 @@ def family_of(x, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
     cumulative projection at breakpoint i spans all eigenvectors with
     eigenvalue at most l_i.
 
-    The projections are the slices of one (m, n, n) stack, built as prefix
-    updates P_i = P_{i-1} + W_i W_i*, where W_i holds cluster i's
-    eigenvectors: O(n^3) in all. Each update is exactly Hermitian
-    (spectral_sum), and so is each sum of them.
+    The family keeps x's memoized eigensystem, and its cumulative
+    projections are built when they are read (PrefixProjections), so
+    family_of itself forms no n x n matrix.
     """
-    es = eigh(x, tol)
-    stack = np.empty((len(es.offsets), es.n, es.n), dtype=np.complex128)
-    prev, start = 0.0, 0
-    for p, end in zip(stack, es.offsets[:-1]):
-        np.add(prev, spectral_sum(es.vectors[:, start:end], 1.0), out=p)
-        prev, start = p, end
-    stack[-1] = np.eye(es.n)
-    # ascending prefix projections of an orthonormal eigenbasis satisfy the
-    # axioms by construction
-    return SpectralFamily(es.breakpoints, list(stack), tol, validate=False)
+    return _family(eigh(x, tol), tol)
+
+
+def _family(es: EigenSystem, tol: ToleranceConfig) -> SpectralFamily:
+    """family_of from an eigensystem. Ascending prefix projections of an
+    orthonormal eigenbasis satisfy the axioms by construction, so nothing
+    is validated."""
+    fam = SpectralFamily.__new__(SpectralFamily)
+    fam.breakpoints, fam.cumulative, fam.n, fam.tol = es.breakpoints, PrefixProjections(es), es.n, tol
+    return fam
 
 
 def element_of(family: SpectralFamily) -> np.ndarray:

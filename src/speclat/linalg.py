@@ -3,6 +3,7 @@ construction and positivity tests, all under one tolerance policy."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -103,7 +104,11 @@ def cluster_ends(points: np.ndarray, eps: float) -> np.ndarray:
 def spectral_sum(vectors: np.ndarray, values) -> np.ndarray:
     """V diag(values) V* as an exactly Hermitian matrix."""
     m = (vectors * values) @ vectors.conj().T
-    m += m.conj().T
+    # m + conj(m^T) through a transposed copy conjugated in place: adding a
+    # transposed operand in place costs numpy a second n x n buffer
+    t = m.T.copy()
+    np.conjugate(t, out=t)
+    m += t
     m *= 0.5
     return m
 
@@ -133,15 +138,21 @@ def _solve(key: bytes, n: int, tol: ToleranceConfig) -> EigenSystem:
     """The eigensystem of the n x n matrix whose bytes are key, memoized
     over the _MEMO_SIZE most recent distinct (matrix, tol) pairs. The key
     is the matrix itself, so a hit is exact, and a matrix changed in place
-    is solved again. A solve that fails keeps nothing and raises; a matrix
-    that is not finite (a sum of blocks that overflowed) is NonFiniteError."""
+    is solved again. A solve that fails keeps nothing and raises. A matrix
+    that is not finite (a sum of blocks that overflowed), or whose spectrum
+    is not, is NonFiniteError: callers that skip check_hermitian on an
+    element's blocks rely on this."""
     h = np.frombuffer(key, dtype=np.complex128).reshape(n, n)
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
-        if not np.isfinite(h).all():
-            raise NonFiniteError("matrix has entries that are not finite (NaN or infinite)") from None
-        raise SpeclatError(f"eigensolver did not converge: {exc}") from None
+        if np.isfinite(h).all():
+            raise SpeclatError(f"eigensolver did not converge: {exc}") from None
+        values = None  # refused below
+    # map over a list costs a quarter of np.isfinite on a small spectrum
+    if values is None or not all(map(math.isfinite, values.tolist())):
+        what = "entries" if not np.isfinite(h).all() else "eigenvalues"
+        raise NonFiniteError(f"matrix has {what} that are not finite (NaN or infinite)")
     offsets = cluster_ends(values, tol.eps_eig)
     for a in (values, vectors, offsets):
         a.flags.writeable = False

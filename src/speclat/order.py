@@ -74,7 +74,11 @@ def _cone_eigh(x, cone: str, tol: ToleranceConfig, name: str = "element") -> Eig
     """One validated eigensolve of x, with its cone membership read from
     that same spectrum."""
     cone_domain(cone)
-    es = eigh(x, tol, name)
+    return _in_cone(eigh(x, tol, name), cone, tol, name)
+
+
+def _in_cone(es: EigenSystem, cone: str, tol: ToleranceConfig, name: str) -> EigenSystem:
+    """es, once _check_spectrum has accepted its eigenvalues."""
     _check_spectrum(es.values, cone, tol, name)
     return es
 
@@ -118,8 +122,11 @@ def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     C[a:, :b] is at most eps_proj, where C = |V_x* V_y|. One running max
     over C answers all breakpoints at once, and no projection is formed.
     """
-    ex = eigh(x, tol, "x")
-    ey = eigh(y, tol, "y")
+    return _leq(eigh(x, tol, "x"), eigh(y, tol, "y"), tol)
+
+
+def _leq(ex: EigenSystem, ey: EigenSystem, tol: ToleranceConfig) -> bool:
+    """spec_leq from the operands' eigensystems."""
     n = ex.n
     if n != ey.n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {ey.n}")
@@ -228,8 +235,13 @@ def spec_meet(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) 
     spec_leq of the same operand), its cone membership is read from that
     spectrum, and the eigensystem of -x is x's read in reverse.
     """
+    return _meet(_validated(xs, cone, tol), tol)
+
+
+def _meet(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
+    """spec_meet from the operands' validated eigensystems."""
     # 0.0 - s rather than -s keeps zero entries unsigned (0.0, not -0.0)
-    return 0.0 - _join([_negated(es, tol) for es in _validated(xs, cone, tol)], tol)
+    return 0.0 - _join([_negated(es, tol) for es in systems], tol)
 
 
 def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -238,7 +250,11 @@ def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np
     Returns (x_plus, x_minus) with x = x_plus - x_minus, both positive
     semidefinite and with orthogonal supports.
     """
-    es = eigh(x, tol)
+    return _pos_neg(eigh(x, tol))
+
+
+def _pos_neg(es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
+    """pos_neg_parts from an eigensystem."""
     v, w = es.vectors, es.values
     # w ascends, so w[k:] > 0 >= w[:k]; 0.0 - w keeps a zero weight unsigned
     k = int(np.searchsorted(w, 0.0, side="right"))

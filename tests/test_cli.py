@@ -10,6 +10,7 @@ from speclat.isos import DirectSumIso, FactorCanonicalIso, ProjectionIsomorphism
 from speclat.monotone import MonotoneBijection
 from speclat.sampling import random_direct_sum_iso, random_unitary, random_with_spectrum, rng_from
 from speclat.selftest import motivating_iso
+from speclat.validation import check_hermitian
 
 
 @pytest.fixture
@@ -55,6 +56,21 @@ def test_order_solves_each_block_once(workdir, capsys, count_calls):
     assert code == 0 and report["verdicts"][0]["pass"] is True
     assert len(solves) == 2
     assert spectra == []
+
+
+@pytest.mark.parametrize("argv", [["order", "x", "x"], ["join", "x", "x"], ["family", "x"]])
+def test_commands_check_each_block_once(workdir, capsys, count_calls, argv):
+    """A document named twice is read once, and the lattice operations
+    read the blocks that loading checked: one check_hermitian per block of
+    a two-block document."""
+    rng = rng_from(3)
+    profile = BlockProfile((2, 3))
+    blocks = [random_with_spectrum(rng, w) for w in ([0.25, 0.5], [0.0, 0.5, 1.0])]
+    emit_element(DirectSumElement(profile, blocks), "eff", workdir / "x.json")
+    hermitian = count_calls(check_hermitian)
+    code, _ = run_json(capsys, [str(workdir / "x.json") if a == "x" else a for a in argv])
+    assert code == 0
+    assert len(hermitian) == 2
 
 
 def test_order_profile_mismatch_is_input_error(workdir, capsys):

@@ -189,6 +189,49 @@ def test_one_pair_request_solves_each_matrix_once(rng, count_calls):
     assert len(solves) == 3
 
 
+def test_lattice_operations_read_element_blocks_unchecked(rng, count_calls):
+    """Element blocks are checked when the element is built: the order
+    test, join, meet, family and parts read them with no second
+    check_hermitian."""
+    profile = BlockProfile((2, 3))
+    x, z = (random_ds_element(rng, profile, "eff") for _ in range(2))
+    hermitian = count_calls(check_hermitian)
+    join = ds_spec_join([x, z], "eff")
+    ds_spec_meet([x, z], "eff")
+    assert ds_spec_leq(x, join)
+    ds_family(x)
+    ds_pos_neg_parts(x)
+    assert hermitian == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in add")
+@pytest.mark.parametrize("op", [
+    lambda y: ds_spec_leq(y, y),
+    lambda y: ds_spec_join([y, y]),
+    lambda y: ds_spec_meet([y, y]),
+    ds_family,
+    ds_pos_neg_parts,
+])
+def test_lattice_operations_refuse_blocks_that_overflowed(op):
+    """x + x builds its blocks unchecked; the eigensolver refuses a block
+    that overflowed to infinity in every lattice operation."""
+    x = DirectSumElement(BlockProfile((1, 2)), [[[1e308]], np.eye(2)])
+    with pytest.raises(NonFiniteError, match="not finite"):
+        op(x + x)
+
+
+@pytest.mark.parametrize("op", [ds_spec_join, ds_spec_meet])
+def test_blockwise_cone_errors_name_the_operand(op):
+    """Blocks read unchecked still meet the cone check, whose message names
+    the operand as spec_join's does."""
+    x = DirectSumElement(BlockProfile((1, 2)), [[[0.5]], np.diag([0.0, 1.0])])
+    y = DirectSumElement(BlockProfile((1, 2)), [[[0.5]], np.diag([0.0, 1.5])])
+    with pytest.raises(ConeError, match=r"^element\[1\] has eigenvalue 1.5 > 1"):
+        op([x, y], "eff")
+    with pytest.raises(ConeError, match="unknown cone"):
+        op([x, y], "psd")
+
+
 def test_ds_atom_decompose_cone_errors_name_the_block():
     profile = BlockProfile((2, 2))
     x = DirectSumElement(profile, [np.diag([0.5, 0.0]), np.diag([1.5, 0.0])])

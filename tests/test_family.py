@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,19 +64,100 @@ def test_family_of_matches_the_prefix_reference(rng, spectra):
 
 
 def test_family_of_passes_each_eigenvector_to_spectral_sum_once(rng, spectra, count_calls):
-    """family_of's spectral_sum calls take the eigenbasis one cluster at a
-    time: together, in order, they are the columns below the last cluster,
-    each column once."""
+    """family_of makes no spectral_sum call; reading its family does, one
+    cluster at a time: together, in order, the calls of one iteration take
+    the columns below the last cluster, each column once."""
     calls = count_calls(spectral_sum)
     for n in (1, 2, 5, 16, 33):
         for w in spectra(rng, n):
             x = random_with_spectrum(rng, w)
             calls.clear()
-            family_of(x)
+            fam = family_of(x)
+            assert calls == []
+            for _ in fam.cumulative:
+                pass
             es = eigh(x)
             below_last = es.offsets[-2] if len(es.offsets) > 1 else 0
             passed = np.hstack([es.vectors[:, :0], *(vectors for vectors, _ in calls)])
             assert passed.tobytes() == es.vectors[:, :below_last].tobytes()
+
+
+def test_reading_a_family_builds_only_the_projections_it_returns(rng, spectra, count_calls):
+    """len, n, repr and evaluate below l_1 build no projection; evaluate at
+    l_i and cumulative[i] make the i + 1 updates up to P_i, and the
+    identity in the last slot takes none."""
+    calls = count_calls(spectral_sum)
+    for w in spectra(rng, 6):
+        fam = family_of(random_with_spectrum(rng, w))
+        m = len(fam.cumulative)
+        calls.clear()
+        assert (fam.n, len(fam.cumulative)) == (6, m)
+        assert repr(fam).startswith("SpectralFamily(n=6, breakpoints=[")
+        assert (fam.evaluate(fam.breakpoints[0] - 1.0) == 0).all()
+        assert calls == []
+        for i, lam in enumerate(fam.breakpoints):
+            for read, arg in ((fam.evaluate, lam), (fam.cumulative.__getitem__, i),
+                              (fam.cumulative.__getitem__, i - m)):
+                calls.clear()
+                read(arg)
+                assert len(calls) == (i + 1 if i < m - 1 else 0)
+        assert (fam.cumulative[-1] == np.eye(6)).all()
+
+
+def test_indexed_projections_have_the_iterated_bytes(rng, spectra):
+    """cumulative[i] and cumulative[i - m] run the updates up to i and
+    return the bytes that iterating yields at i, each in an array of its
+    own."""
+    for n in (1, 2, 5, 16):
+        for w in spectra(rng, n):
+            fam = family_of(random_with_spectrum(rng, w))
+            iterated = [p.tobytes() for p in fam.cumulative]
+            m = len(fam.cumulative)
+            assert len(iterated) == m
+            for i in range(m):
+                p, q = fam.cumulative[i], fam.cumulative[i - m]
+                assert p.tobytes() == q.tobytes() == iterated[i]
+                assert not np.shares_memory(p, q)
+            identity = np.eye(n, dtype=complex).tobytes()
+            assert fam.cumulative[-1].tobytes() == iterated[-1] == identity
+            for i in (m, -m - 1):
+                with pytest.raises(IndexError):
+                    fam.cumulative[i]
+
+
+def test_each_read_of_a_family_returns_a_new_array(rng):
+    """Writing into a projection that cumulative[i], evaluate or a finished
+    iteration returned leaves the family as it was."""
+    x = random_with_spectrum(rng, [0.0, 1.0, 1.0, 2.0, 3.0])
+    fam = family_of(x)
+    before = [p.copy() for p in fam.cumulative]
+    read = list(fam.cumulative)
+    read += [fam.cumulative[i] for i in range(-len(before), len(before))]
+    read += [fam.evaluate(lam) for lam in fam.breakpoints]
+    for p in read:
+        p[...] = np.nan
+    for p, q in zip(fam.cumulative, before, strict=True):
+        assert p.tobytes() == q.tobytes()
+
+
+def test_a_wide_family_holds_one_projection_at_a_time(rng):
+    """family_of and one full iteration of its projections on a generic
+    n = 64 matrix, whose eigensystem is memoized, allocate less than four
+    n x n complex matrices at their peak; an (m, n, n) stack of all m = 64
+    would take 64."""
+    n = 64
+    x = random_hermitian(rng, n)
+    eigh(x)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        for p in family_of(x).cumulative:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (p == np.eye(n)).all()
+    assert peak < 4 * n * n * 16
 
 
 def test_element_of_examples():

@@ -94,6 +94,12 @@ def test_eigh_refuses_bad_input_on_every_call_under_its_own_name():
             eigh(skew, name=name)
 
 
+def test_eigh_refuses_a_finite_matrix_whose_spectrum_overflows():
+    """Every entry is finite, but the eigenvalue 2e308 is not a float."""
+    with pytest.raises(NonFiniteError, match="^matrix has eigenvalues that are not finite"):
+        eigh(np.full((2, 2), 1e308, dtype=complex))
+
+
 def test_eigh_solves_the_first_matrix_again_after_memo_size_others(count_calls):
     solves = count_calls(np.linalg.eigh)
     xs = [np.diag([float(i), 0.0]).astype(complex) for i in range(linalg._MEMO_SIZE + 1)]
