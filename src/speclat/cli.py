@@ -133,15 +133,9 @@ def _one_based(pi) -> list[int]:
     return [j + 1 for j in pi]
 
 
-def _parse_elements(paths, tol) -> list:
-    """parse_element of each path, reading and validating each distinct
-    path once, so that `order x x` checks x's blocks once."""
-    parsed = {path: parse_element(path, tol) for path in dict.fromkeys(paths)}
-    return [parsed[path] for path in paths]
-
-
 def _cmd_order(args, tol, report: Report) -> int:
-    (x, _), (y, _) = _parse_elements([args.x, args.y], tol)
+    x, cone_x = parse_element(args.x, tol)
+    y, cone_y = parse_element(args.y, tol)
     report.inputs = {"x": file_digest(args.x), "y": file_digest(args.y)}
     holds = ds_spec_leq(x, y, tol)
     report.add_verdict("x ⪯ y", holds, detail="true" if holds else "false")
@@ -150,7 +144,7 @@ def _cmd_order(args, tol, report: Report) -> int:
 
 def _cmd_meet_join(args, tol, report: Report) -> int:
     which = args.command
-    parsed = _parse_elements(args.elements, tol)
+    parsed = [parse_element(path, tol) for path in args.elements]
     report.inputs = {f"element[{i}]": file_digest(p) for i, p in enumerate(args.elements)}
     cones = {cone for _, cone in parsed}
     if len(cones) != 1:

@@ -33,12 +33,17 @@ class SpectralFamily:
         Strictly ascending jump locations.
     cumulative : sequence of (n, n) arrays
         Post-jump projections, strictly increasing, ending at the identity.
+        A PrefixProjections is kept as it is; any other sequence is read
+        into a list.
     """
 
     def __init__(self, breakpoints, cumulative, tol: ToleranceConfig = DEFAULT_TOL, validate: bool = True):
         self.breakpoints = np.asarray(breakpoints, dtype=float).ravel()
-        self.cumulative = [np.asarray(p, dtype=np.complex128) for p in cumulative]
-        self.n = self.cumulative[0].shape[0] if self.cumulative else 0
+        if isinstance(cumulative, PrefixProjections):
+            self.cumulative, self.n = cumulative, cumulative.n
+        else:
+            self.cumulative = [np.asarray(p, dtype=np.complex128) for p in cumulative]
+            self.n = self.cumulative[0].shape[0] if self.cumulative else 0
         self.tol = tol
         if validate:
             self._validate()
@@ -68,7 +73,12 @@ class SpectralFamily:
             raise InvalidFamilyError("family must end at the identity")
 
     def evaluate(self, lam: float) -> np.ndarray:
-        """Value at lam: P_i for lam in [l_i, l_{i+1}), 0 below l_1."""
+        """Value at lam: P_i for lam in [l_i, l_{i+1}), 0 below l_1.
+
+        On a family from family_of this builds P_i, i + 1 prefix updates
+        of O(n^3) each; a caller that evaluates at many points builds the
+        projections once, as a family over list(cumulative).
+        """
         i = int(np.searchsorted(self.breakpoints, lam, side="right")) - 1
         if i < 0:
             return np.zeros((self.n, self.n), dtype=np.complex128)
@@ -89,15 +99,15 @@ class PrefixProjections(Sequence):
     W_i holds cluster i's eigenvectors and P_0 = 0, and the identity in the
     last slot. It holds the eigensystem only, O(n^2) memory.
 
-    Iterating costs O(n^3) in all and keeps only the projection it last
-    yielded, which it updates into the next: copy a yielded projection
-    before writing into it mid-iteration. cumulative[i] runs the same
-    updates up to i, so it has the bytes that iterating yields at i. Each
-    access returns a new array.
+    Iterating costs O(n^3) in all. It keeps one running sum and yields a
+    copy of it, so a caller may write into a yielded projection at any
+    time. cumulative[i] runs the same updates up to i, O(i n^3), so it has
+    the bytes that iterating yields at i. Each access returns a new array.
     """
 
     def __init__(self, es: EigenSystem):
         self._es = es
+        self.n = es.n
 
     def __len__(self) -> int:
         return len(self._es.offsets)
@@ -108,16 +118,16 @@ class PrefixProjections(Sequence):
         if not 0 <= k < m:
             raise IndexError(f"cumulative index {i} out of range for {m} projections")
         if k == m - 1:
-            return np.eye(self._es.n, dtype=np.complex128)
+            return np.eye(self.n, dtype=np.complex128)
         return next(islice(self, k, None))
 
     def __iter__(self):
         es = self._es
-        prev, start = 0.0, 0
+        prev, start = np.zeros((es.n, es.n), dtype=np.complex128), 0
         for end in es.offsets[:-1].tolist():
-            prev = np.add(prev, spectral_sum(es.vectors[:, start:end], 1.0))
+            prev += spectral_sum(es.vectors[:, start:end], 1.0)
             start = end
-            yield prev
+            yield prev.copy()
         yield np.eye(es.n, dtype=np.complex128)
 
 
@@ -140,9 +150,7 @@ def _family(es: EigenSystem, tol: ToleranceConfig) -> SpectralFamily:
     """family_of from an eigensystem. Ascending prefix projections of an
     orthonormal eigenbasis satisfy the axioms by construction, so nothing
     is validated."""
-    fam = SpectralFamily.__new__(SpectralFamily)
-    fam.breakpoints, fam.cumulative, fam.n, fam.tol = es.breakpoints, PrefixProjections(es), es.n, tol
-    return fam
+    return SpectralFamily(es.breakpoints, PrefixProjections(es), tol, validate=False)
 
 
 def element_of(family: SpectralFamily) -> np.ndarray:

@@ -104,11 +104,7 @@ def cluster_ends(points: np.ndarray, eps: float) -> np.ndarray:
 def spectral_sum(vectors: np.ndarray, values) -> np.ndarray:
     """V diag(values) V* as an exactly Hermitian matrix."""
     m = (vectors * values) @ vectors.conj().T
-    # m + conj(m^T) through a transposed copy conjugated in place: adding a
-    # transposed operand in place costs numpy a second n x n buffer
-    t = m.T.copy()
-    np.conjugate(t, out=t)
-    m += t
+    m += m.conj().T
     m *= 0.5
     return m
 

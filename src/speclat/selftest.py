@@ -22,7 +22,7 @@ from .directsum import (
     embed_block,
 )
 from .errors import DecompositionError
-from .family import element_of, family_of
+from .family import SpectralFamily, element_of, family_of
 from .io import matrix_to_json
 from .isos import DirectSumIso, FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
 from .linalg import is_psd
@@ -244,8 +244,12 @@ def check_direct_sum_family(
     for _ in range(samples):
         profile = _random_profile(rng)
         x = random_ds_element(rng, profile, "sa")
-        assembled = family_of(x.assemble(), tol)
-        blockwise = ds_family(x, tol)
+        # evaluate on a family of lists reads a projection where
+        # family_of's would build it again at every probe
+        assembled, *blockwise = (
+            SpectralFamily(f.breakpoints, list(f.cumulative), tol, validate=False)
+            for f in [family_of(x.assemble(), tol), *ds_family(x, tol)]
+        )
         bps = assembled.breakpoints
         probes = np.concatenate([[bps[0] - 1.0], bps, (bps[:-1] + bps[1:]) / 2.0, [bps[-1] + 1.0]])
         for t in probes:

@@ -58,19 +58,19 @@ def test_order_solves_each_block_once(workdir, capsys, count_calls):
     assert spectra == []
 
 
-@pytest.mark.parametrize("argv", [["order", "x", "x"], ["join", "x", "x"], ["family", "x"]])
+@pytest.mark.parametrize("argv", [["order", "x", "y"], ["join", "x", "y"], ["family", "x"]])
 def test_commands_check_each_block_once(workdir, capsys, count_calls, argv):
-    """A document named twice is read once, and the lattice operations
-    read the blocks that loading checked: one check_hermitian per block of
-    a two-block document."""
+    """The lattice operations read the blocks that loading checked: one
+    check_hermitian per block of each two-block document named."""
     rng = rng_from(3)
     profile = BlockProfile((2, 3))
     blocks = [random_with_spectrum(rng, w) for w in ([0.25, 0.5], [0.0, 0.5, 1.0])]
-    emit_element(DirectSumElement(profile, blocks), "eff", workdir / "x.json")
+    for name in ("x", "y"):
+        emit_element(DirectSumElement(profile, blocks), "eff", workdir / f"{name}.json")
     hermitian = count_calls(check_hermitian)
-    code, _ = run_json(capsys, [str(workdir / "x.json") if a == "x" else a for a in argv])
+    code, _ = run_json(capsys, [str(workdir / f"{a}.json") if a in ("x", "y") else a for a in argv])
     assert code == 0
-    assert len(hermitian) == 2
+    assert len(hermitian) == 2 * (len(argv) - 1)
 
 
 def test_order_profile_mismatch_is_input_error(workdir, capsys):

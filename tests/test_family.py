@@ -126,11 +126,15 @@ def test_indexed_projections_have_the_iterated_bytes(rng, spectra):
 
 
 def test_each_read_of_a_family_returns_a_new_array(rng):
-    """Writing into a projection that cumulative[i], evaluate or a finished
-    iteration returned leaves the family as it was."""
+    """Writing into a projection that cumulative[i], evaluate or an
+    iteration returned, also before the iteration goes on to the next
+    projection, leaves the family as it was."""
     x = random_with_spectrum(rng, [0.0, 1.0, 1.0, 2.0, 3.0])
     fam = family_of(x)
     before = [p.copy() for p in fam.cumulative]
+    for p, q in zip(fam.cumulative, before, strict=True):
+        assert p.tobytes() == q.tobytes()
+        p[...] = np.nan
     read = list(fam.cumulative)
     read += [fam.cumulative[i] for i in range(-len(before), len(before))]
     read += [fam.evaluate(lam) for lam in fam.breakpoints]
@@ -142,9 +146,10 @@ def test_each_read_of_a_family_returns_a_new_array(rng):
 
 def test_a_wide_family_holds_one_projection_at_a_time(rng):
     """family_of and one full iteration of its projections on a generic
-    n = 64 matrix, whose eigensystem is memoized, allocate less than four
-    n x n complex matrices at their peak; an (m, n, n) stack of all m = 64
-    would take 64."""
+    n = 64 matrix, whose eigensystem is memoized, allocate less than six
+    n x n complex matrices at their peak: the running sum, the copy the
+    loop holds, and spectral_sum's update with its temporaries (5.06 when
+    measured). An (m, n, n) stack of all m = 64 would take 64."""
     n = 64
     x = random_hermitian(rng, n)
     eigh(x)
@@ -157,7 +162,7 @@ def test_a_wide_family_holds_one_projection_at_a_time(rng):
     finally:
         tracemalloc.stop()
     assert (p == np.eye(n)).all()
-    assert peak < 4 * n * n * 16
+    assert peak < 6 * n * n * 16
 
 
 def test_element_of_examples():
