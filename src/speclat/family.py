@@ -33,19 +33,18 @@ class SpectralFamily:
         Strictly ascending jump locations.
     cumulative : sequence of (n, n) arrays
         Post-jump projections, strictly increasing, ending at the identity.
-        A PrefixProjections is kept as it is; any other sequence is read
-        into a list.
+        A PrefixProjections is kept as it is, and satisfies the axioms by
+        construction; any other sequence is read into a list and validated.
     """
 
-    def __init__(self, breakpoints, cumulative, tol: ToleranceConfig = DEFAULT_TOL, validate: bool = True):
+    def __init__(self, breakpoints, cumulative, tol: ToleranceConfig = DEFAULT_TOL):
         self.breakpoints = np.asarray(breakpoints, dtype=float).ravel()
+        self.tol = tol
         if isinstance(cumulative, PrefixProjections):
             self.cumulative, self.n = cumulative, cumulative.n
         else:
             self.cumulative = [np.asarray(p, dtype=np.complex128) for p in cumulative]
             self.n = self.cumulative[0].shape[0] if self.cumulative else 0
-        self.tol = tol
-        if validate:
             self._validate()
 
     def _validate(self) -> None:
@@ -139,18 +138,13 @@ def family_of(x, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralFamily:
     cumulative projection at breakpoint i spans all eigenvectors with
     eigenvalue at most l_i.
 
-    The family keeps x's memoized eigensystem, and its cumulative
-    projections are built when they are read (PrefixProjections), so
-    family_of itself forms no n x n matrix.
+    x is a matrix or its eigensystem (see eigh). The family keeps that
+    memoized eigensystem, and its cumulative projections are built when
+    they are read (PrefixProjections), so family_of itself forms no n x n
+    matrix.
     """
-    return _family(eigh(x, tol), tol)
-
-
-def _family(es: EigenSystem, tol: ToleranceConfig) -> SpectralFamily:
-    """family_of from an eigensystem. Ascending prefix projections of an
-    orthonormal eigenbasis satisfy the axioms by construction, so nothing
-    is validated."""
-    return SpectralFamily(es.breakpoints, PrefixProjections(es), tol, validate=False)
+    es = eigh(x, tol)
+    return SpectralFamily(es.breakpoints, PrefixProjections(es), tol)
 
 
 def element_of(family: SpectralFamily) -> np.ndarray:

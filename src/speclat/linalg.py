@@ -119,7 +119,13 @@ def eigh(x, tol: ToleranceConfig = DEFAULT_TOL, name: str = "matrix") -> EigenSy
     x passes through check_hermitian first, with name in its error
     messages, on every call. The result may be shared with earlier calls on
     the same matrix and tol (_solve), so its arrays are read-only.
+
+    An EigenSystem x is returned unchanged, unchecked: it keeps the
+    clustering of the tol that solved it, so a caller passes one solved
+    under the same tol.
     """
+    if isinstance(x, EigenSystem):
+        return x
     return _eigh_hermitian(check_hermitian(x, tol, name), tol)
 
 

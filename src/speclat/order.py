@@ -15,7 +15,9 @@ sines against eps_proj, so x <= x v y and De Morgan's laws hold for nearly
 aligned operands. Since x -> -x reverses the order, infima are the negated
 suprema of the negations; the eigensystem of -x is that of x read in
 reverse, so an infimum solves no matrix that a supremum of the same
-operands has not, and eigh's memo (linalg._solve) answers both.
+operands has not, and eigh's memo (linalg._solve) answers both. Every
+operation takes each operand as a matrix, validated, or as its eigensystem
+from eigh under the same tol, read as it is.
 """
 
 from __future__ import annotations
@@ -71,14 +73,10 @@ def check_cone(x, cone: str, tol: ToleranceConfig = DEFAULT_TOL, name: str = "el
 
 
 def _cone_eigh(x, cone: str, tol: ToleranceConfig, name: str = "element") -> EigenSystem:
-    """One validated eigensolve of x, with its cone membership read from
-    that same spectrum."""
+    """One validated eigensolve of x (or x itself, when it is already an
+    eigensystem), with its cone membership read from that same spectrum."""
     cone_domain(cone)
-    return _in_cone(eigh(x, tol, name), cone, tol, name)
-
-
-def _in_cone(es: EigenSystem, cone: str, tol: ToleranceConfig, name: str) -> EigenSystem:
-    """es, once _check_spectrum has accepted its eigenvalues."""
+    es = eigh(x, tol, name)
     _check_spectrum(es.values, cone, tol, name)
     return es
 
@@ -122,11 +120,8 @@ def spec_leq(x, y, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     C[a:, :b] is at most eps_proj, where C = |V_x* V_y|. One running max
     over C answers all breakpoints at once, and no projection is formed.
     """
-    return _leq(eigh(x, tol, "x"), eigh(y, tol, "y"), tol)
-
-
-def _leq(ex: EigenSystem, ey: EigenSystem, tol: ToleranceConfig) -> bool:
-    """spec_leq from the operands' eigensystems."""
+    ex = eigh(x, tol, "x")
+    ey = eigh(y, tol, "y")
     n = ex.n
     if n != ey.n:
         raise DimensionMismatchError(f"dimension mismatch: {n} vs {ey.n}")
@@ -235,13 +230,8 @@ def spec_meet(xs, cone: str = SELF_ADJOINT, tol: ToleranceConfig = DEFAULT_TOL) 
     spec_leq of the same operand), its cone membership is read from that
     spectrum, and the eigensystem of -x is x's read in reverse.
     """
-    return _meet(_validated(xs, cone, tol), tol)
-
-
-def _meet(systems: list[EigenSystem], tol: ToleranceConfig) -> np.ndarray:
-    """spec_meet from the operands' validated eigensystems."""
     # 0.0 - s rather than -s keeps zero entries unsigned (0.0, not -0.0)
-    return 0.0 - _join([_negated(es, tol) for es in systems], tol)
+    return 0.0 - _join([_negated(es, tol) for es in _validated(xs, cone, tol)], tol)
 
 
 def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -250,11 +240,7 @@ def pos_neg_parts(x, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np
     Returns (x_plus, x_minus) with x = x_plus - x_minus, both positive
     semidefinite and with orthogonal supports.
     """
-    return _pos_neg(eigh(x, tol))
-
-
-def _pos_neg(es: EigenSystem) -> tuple[np.ndarray, np.ndarray]:
-    """pos_neg_parts from an eigensystem."""
+    es = eigh(x, tol)
     v, w = es.vectors, es.values
     # w ascends, so w[k:] > 0 >= w[:k]; 0.0 - w keeps a zero weight unsigned
     k = int(np.searchsorted(w, 0.0, side="right"))

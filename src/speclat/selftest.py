@@ -245,9 +245,11 @@ def check_direct_sum_family(
         profile = _random_profile(rng)
         x = random_ds_element(rng, profile, "sa")
         # evaluate on a family of lists reads a projection where
-        # family_of's would build it again at every probe
+        # family_of's would build it again at every probe; building one
+        # validates its list, so every sample also checks the axioms on
+        # the projections family_of yields
         assembled, *blockwise = (
-            SpectralFamily(f.breakpoints, list(f.cumulative), tol, validate=False)
+            SpectralFamily(f.breakpoints, list(f.cumulative), tol)
             for f in [family_of(x.assemble(), tol), *ds_family(x, tol)]
         )
         bps = assembled.breakpoints

@@ -58,7 +58,9 @@ def test_order_solves_each_block_once(workdir, capsys, count_calls):
     assert spectra == []
 
 
-@pytest.mark.parametrize("argv", [["order", "x", "y"], ["join", "x", "y"], ["family", "x"]])
+@pytest.mark.parametrize("argv", [
+    ["order", "x", "y"], ["join", "x", "y"], ["meet", "x", "y"], ["family", "x"], ["posneg", "x"],
+])
 def test_commands_check_each_block_once(workdir, capsys, count_calls, argv):
     """The lattice operations read the blocks that loading checked: one
     check_hermitian per block of each two-block document named."""

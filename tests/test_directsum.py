@@ -17,8 +17,8 @@ from speclat.directsum import (
 from speclat.errors import ConeError, DimensionMismatchError, NonFiniteError
 from speclat.family import family_of, merged_breakpoints
 from speclat.isos import DirectSumIso, FactorCanonicalIso
-from speclat.linalg import eigh
-from speclat.order import spec_join, spec_leq
+from speclat.linalg import EigenSystem, eigh
+from speclat.order import pos_neg_parts, spec_join, spec_leq, spec_meet
 from speclat.sampling import random_ds_element, random_effect, random_hermitian
 from speclat.validation import check_hermitian, max_abs
 
@@ -168,8 +168,9 @@ def test_ds_atom_decompose_validates_and_decomposes_each_block_once(count_calls)
     alpha, j, proj = ds_atom_scalar_decompose(x, "eff")
     assert (alpha, j) == (pytest.approx(0.5), 0)
     np.testing.assert_allclose(proj, e, atol=1e-12)
-    # one validation and one eigensolve per block, the cone read from it
-    assert len(hermitian) == 2
+    # the blocks were validated when x was built: no second check, and one
+    # eigensolve per block, the cone read from it
+    assert hermitian == []
     assert len(solves) == 2
     assert spectra == []
 
@@ -202,6 +203,28 @@ def test_lattice_operations_read_element_blocks_unchecked(rng, count_calls):
     ds_family(x)
     ds_pos_neg_parts(x)
     assert hermitian == []
+
+
+def test_lattice_operations_reach_the_public_operation_once_per_block(rng, count_calls):
+    """Each ds_* operation is its single-factor operation applied block by
+    block: one call of the public function per block, on the blocks'
+    eigensystems."""
+    profile = BlockProfile((2, 3))
+    x, z = (random_ds_element(rng, profile, "eff") for _ in range(2))
+    join = ds_spec_join([x, z], "eff")
+    for fn, run in (
+        (spec_leq, lambda: ds_spec_leq(x, join)),  # true in every block: no early exit
+        (spec_join, lambda: ds_spec_join([x, z], "eff")),
+        (spec_meet, lambda: ds_spec_meet([x, z], "eff")),
+        (pos_neg_parts, lambda: ds_pos_neg_parts(x)),
+        (family_of, lambda: ds_family(x)),
+    ):
+        calls = count_calls(fn)
+        run()
+        assert len(calls) == len(profile), fn.__name__
+        for args in calls:
+            operands = args[0] if isinstance(args[0], list) else args[:-1]
+            assert all(isinstance(a, EigenSystem) for a in operands), fn.__name__
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in add")

@@ -94,6 +94,17 @@ def test_eigh_refuses_bad_input_on_every_call_under_its_own_name():
             eigh(skew, name=name)
 
 
+def test_eigh_returns_an_eigensystem_unchanged(rng, count_calls):
+    """An operand already solved is passed through as it is: no check and
+    no solve, under any name."""
+    es = eigh(random_hermitian(rng, 4))
+    hermitian = count_calls(check_hermitian)
+    solves = count_calls(np.linalg.eigh)
+    assert eigh(es) is es
+    assert eigh(es, name="x") is es
+    assert hermitian == [] and solves == []
+
+
 def test_eigh_refuses_a_finite_matrix_whose_spectrum_overflows():
     """Every entry is finite, but the eigenvalue 2e308 is not a float."""
     with pytest.raises(NonFiniteError, match="^matrix has eigenvalues that are not finite"):

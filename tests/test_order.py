@@ -3,7 +3,13 @@ import pytest
 
 from speclat import order
 from speclat.directsum import BlockProfile, DirectSumElement, ds_atom_scalar_decompose, ds_central_scalars
-from speclat.errors import ConeError, DimensionMismatchError, InvalidFamilyError, NonFiniteError
+from speclat.errors import (
+    ConeError,
+    DimensionMismatchError,
+    InvalidFamilyError,
+    NonFiniteError,
+    NonHermitianError,
+)
 from speclat.family import SpectralFamily, element_of, family_of, merged_breakpoints
 from speclat.isos import FactorCanonicalIso, ProjectionIsomorphism
 from speclat.linalg import eigh, is_psd, spectral_sum
@@ -361,6 +367,73 @@ def test_empty_join_meet_rejected():
         spec_join([], "sa")
     with pytest.raises(DimensionMismatchError):
         spec_meet([], "sa")
+
+
+def _into_cone(w, cone):
+    """w moved to start at the cone's finite lower end, and scaled into
+    its finite upper one; ties stay exact ties."""
+    lo, hi = order.cone_domain(cone)
+    if not np.isfinite(lo):
+        return w - np.median(w)
+    w = w - w.min()
+    return w / max(1.0, w.max()) if np.isfinite(hi) else w
+
+
+@pytest.mark.parametrize("cone", order.CONES)
+def test_operations_give_equal_bytes_on_matrices_and_their_eigensystems(rng, spectra, cone):
+    """spec_leq, spec_join, spec_meet, pos_neg_parts and family_of take an
+    operand's eigensystem eigh(x) in place of x, alone or beside a raw
+    matrix, and return the same bytes: verdicts, suprema, infima, both
+    parts, breakpoints and iterated projections, on generic, tied,
+    near-tied and chained spectra in the cone."""
+
+    def family_bytes(f):
+        return [f.breakpoints.tobytes()] + [p.tobytes() for p in f.cumulative]
+
+    for n in (1, 2, 5, 8):
+        mats = [random_with_spectrum(rng, _into_cone(w, cone)) for w in spectra(rng, n)]
+        for x, y in zip(mats, mats[1:] + mats[:1]):
+            join = spec_join([x, y], cone)
+            # (x, x) holds, so both verdicts occur
+            for a, b in ((x, y), (y, x), (x, join), (x, x)):
+                leq = spec_leq(a, b)
+                sup, inf = spec_join([a, b], cone).tobytes(), spec_meet([a, b], cone).tobytes()
+                for u, v in ((eigh(a), eigh(b)), (a, eigh(b)), (eigh(a), b)):
+                    assert spec_leq(u, v) is leq
+                    assert spec_join([u, v], cone).tobytes() == sup
+                    assert spec_meet([u, v], cone).tobytes() == inf
+            for a in (x, join):
+                assert [p.tobytes() for p in pos_neg_parts(eigh(a))] == [
+                    p.tobytes() for p in pos_neg_parts(a)
+                ]
+                assert family_bytes(family_of(eigh(a))) == family_bytes(family_of(a))
+
+
+def test_a_bad_raw_operand_keeps_its_error_beside_an_eigensystem():
+    """A bad raw operand beside an operand given as its eigensystem is
+    refused with the class and message, its name included, that it gets
+    beside the raw matrix."""
+    good = np.diag([0.25, 0.5]).astype(complex)
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    nan = np.diag([np.nan, 1.0]).astype(complex)
+    wide = np.eye(3, dtype=complex)
+    outside = np.diag([0.5, 1.5]).astype(complex)
+    cases = [
+        (spec_leq, skew, NonHermitianError, "^y is not Hermitian"),
+        (lambda g, b: spec_leq(b, g), nan, NonFiniteError, "^x has entries that are not finite"),
+        (spec_leq, wide, DimensionMismatchError, "^dimension mismatch: 2 vs 3$"),
+        (lambda g, b: spec_join([g, b], "eff"), outside, ConeError,
+         r"^element\[1\] has eigenvalue 1.5 > 1, outside cone 'eff'$"),
+        (lambda g, b: spec_meet([g, b]), skew, NonHermitianError, r"^element\[1\] is not Hermitian"),
+        (lambda g, b: spec_join([g, b]), wide, DimensionMismatchError, r"^dimension mismatch: \[2, 3\]$"),
+    ]
+    for op, bad, error, message in cases:
+        for g in (good, eigh(good)):
+            with pytest.raises(error, match=message):
+                op(g, bad)
+    for op in (pos_neg_parts, family_of):
+        with pytest.raises(NonHermitianError, match="^matrix is not Hermitian"):
+            op(skew)
 
 
 def test_sublattice_closure(rng):
