@@ -31,7 +31,9 @@ from .isos import FactorCanonicalIso, OrderIsoOracle, ProjectionIsomorphism
 from .linalg import eigh, spectral_sum
 from .monotone import MonotoneBijection
 from .order import EFFECT, check_scalar_map, cone_domain, endpoint_deviations
-from .sampling import random_ds_element, random_effect, random_unitary, rng_from
+from .sampling import (
+    random_cone_stack, random_ds_element, random_ds_elements, random_effect, random_unitary, rng_from
+)
 from .tolerances import DEFAULT_TOL, ToleranceConfig
 from .validation import _check_count, max_abs
 
@@ -78,14 +80,15 @@ def reassembly_residuals(
     """Worst entrywise residual, per codomain slot, between the oracle's
     images of random elements and the images rebuilt from a decomposition.
 
-    Draws `samples` elements with random_ds_element(rng, domain profile,
-    cone). Codomain slot k of a rebuilt image holds the image of block
+    Draws the `samples` elements up front with random_ds_elements(rng,
+    domain profile, samples, cone): one stacked call per slot, so a seed
+    draws other samples than one random_ds_element call per sample would.
+    Codomain slot k of a rebuilt image holds the image of block
     j = permutation[k] under block_oracles[j], plus block k of the central
     shift (None off the self-adjoint cone). A NaN residual stays NaN.
     """
     residuals = [0.0] * len(oracle.codomain_profile)
-    for _ in range(samples):
-        x = random_ds_element(rng, oracle.domain_profile, oracle.cone)
+    for x in random_ds_elements(rng, oracle.domain_profile, samples, oracle.cone):
         expected = oracle.forward(x)
         for k, j in enumerate(permutation):
             block = _factor_image(block_oracles[j], x.blocks[j])
@@ -124,6 +127,9 @@ class FactorCanonicalRecovery:
         Number of random effects used for the final residual check, whose
         bound is tol.eps_recon. A scalar action outside the
         piecewise-linear class at the grid's resolution is rejected there.
+        The effects are drawn up front in one random_cone_stack call, so a
+        seed draws other effects than one random_effect call per effect
+        would.
     random_state : int or numpy Generator
         Seed for verification sampling.
     tol : ToleranceConfig
@@ -198,8 +204,7 @@ class FactorCanonicalRecovery:
 
         rng = rng_from(self.random_state)
         worst = 0.0
-        for _ in range(self.n_verify):
-            x = random_effect(rng, n)
+        for x in random_cone_stack(rng, self.n_verify, n, cone):
             r = max_abs(canonical.apply(x, tol) - _factor_image(oracle, x))
             worst = float(np.maximum(worst, r))  # NaN when any residual is
         if not worst <= tol.eps_recon:

@@ -10,7 +10,7 @@ from .directsum import BlockProfile, DirectSumElement
 from .isos import DirectSumIso, FactorCanonicalIso, JordanIso, ProjectionIsomorphism
 from .linalg import spectral_sum
 from .monotone import MonotoneBijection
-from .order import SELF_ADJOINT, cone_domain
+from .order import EFFECT, SELF_ADJOINT, cone_domain
 
 _N_KNOTS = 5
 
@@ -21,18 +21,24 @@ def rng_from(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-ish unitary from the QR of a complex Ginibre matrix, with the
-    phase convention that R has positive diagonal."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+def random_unitaries(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """A (count, n, n) stack of Haar-ish unitaries from one stacked QR of
+    complex Ginibre matrices (the real parts drawn first, then the
+    imaginary parts), with the phase convention that each R has positive
+    diagonal."""
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """One matrix of random_unitaries."""
+    return random_unitaries(rng, 1, n)[0]
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (g + g.conj().T) / 2.0
+    return random_in_cone(rng, n, SELF_ADJOINT)
 
 
 def random_with_spectrum(rng: np.random.Generator, values) -> np.ndarray:
@@ -51,24 +57,53 @@ def random_projection(rng: np.random.Generator, n: int, rank: int | None = None)
 def random_effect(rng: np.random.Generator, n: int) -> np.ndarray:
     """A uniform(0, 1) spectrum in a random basis: an effect, and so also a
     positive element."""
-    return random_with_spectrum(rng, np.sort(rng.uniform(0.0, 1.0, n)))
+    return random_in_cone(rng, n, EFFECT)
 
 
 def random_in_cone(rng: np.random.Generator, n: int, cone: str) -> np.ndarray:
-    """An effect on a cone bounded below (an effect is also positive), a
-    Hermitian matrix on the self-adjoint cone."""
+    """One sample of random_cone_stack."""
+    return random_cone_stack(rng, 1, n, cone)[0]
+
+
+def random_cone_stack(rng: np.random.Generator, count: int, n: int, cone: str) -> np.ndarray:
+    """A (count, n, n) stack of exactly Hermitian samples of the cone, drawn
+    in one call: effects on a cone bounded below (an effect is also
+    positive), Hermitian matrices on the self-adjoint cone.
+
+    An effect is V diag(l) V* with l sorted uniform(0, 1) (all count
+    spectra are drawn first) and V from random_unitaries. A Hermitian
+    matrix is (g + g*) / 2 of a complex Ginibre g. An effect takes
+    spectral_sum's arithmetic, so at count = 1 it is spectral_sum(V, l) bit
+    for bit, drawn from the generator in the same order.
+    """
     if np.isfinite(cone_domain(cone)[0]):
-        return random_effect(rng, n)
-    return random_hermitian(rng, n)
+        values = np.sort(rng.uniform(0.0, 1.0, (count, n)), axis=1)
+        u = random_unitaries(rng, count, n)
+        # spectral_sum on each matrix of the stack
+        m = (u * values[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        m += m.conj().transpose(0, 2, 1)
+        m *= 0.5
+        return m
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return (g + g.conj().transpose(0, 2, 1)) / 2.0
+
+
+def random_ds_elements(
+    rng: np.random.Generator, profile: BlockProfile, count: int, cone: str = SELF_ADJOINT
+) -> list[DirectSumElement]:
+    """count random elements of the cone over the profile, drawn slot by
+    slot: one random_cone_stack call per slot holds every sample's block of
+    that slot."""
+    slots = [random_cone_stack(rng, count, d, cone) for d in profile.dims]
+    # the stacks are exactly Hermitian, so there is nothing to validate
+    return [DirectSumElement(profile, [s[i] for s in slots], validate=False) for i in range(count)]
 
 
 def random_ds_element(
     rng: np.random.Generator, profile: BlockProfile, cone: str = SELF_ADJOINT
 ) -> DirectSumElement:
-    # spectral_sum and (g + g*)/2 are exactly Hermitian, so there is nothing
-    # to validate
-    blocks = [random_in_cone(rng, d, cone) for d in profile.dims]
-    return DirectSumElement(profile, blocks, validate=False)
+    """One sample of random_ds_elements."""
+    return random_ds_elements(rng, profile, 1, cone)[0]
 
 
 def random_monotone_bijection(

@@ -20,7 +20,7 @@ from speclat.isos import (
     ProjectionIsomorphism,
     _transported_spectrum,
 )
-from speclat.linalg import eigh, orthonormal_range
+from speclat.linalg import eigh, orthonormal_range, spectral_sum
 from speclat.monotone import MonotoneBijection
 from speclat.order import spec_join, spec_leq, spec_meet
 from speclat.sampling import (
@@ -32,6 +32,7 @@ from speclat.sampling import (
     random_shear,
     random_unitary,
 )
+from speclat.tolerances import DEFAULT_TOL, ToleranceConfig
 from speclat.validation import max_abs
 
 
@@ -445,6 +446,36 @@ def test_values_sent_out_of_the_floats_are_refused():
                 iso.apply(x)
         # (1e60)^5 = 1e300 is still a float
         assert np.isfinite(iso.apply(np.diag([1e60, 1.0, 1.0]))).all()
+
+
+def test_a_replayed_image_is_the_image_a_new_iso_computes():
+    """An iso answers the exact repeat of its last non-scalar input from
+    what it kept; the answer must not differ from a fresh computation: a
+    returned image is the caller's to write into, an input changed in place
+    is a new input, and so is the same input under another tol."""
+    f = MonotoneBijection.piecewise_linear([0.0, 0.5, 1.0], [0.0, 0.3, 1.0])
+    iso = FactorCanonicalIso(f, ProjectionIsomorphism(SHEAR), "eff")
+
+    def fresh(x, tol=DEFAULT_TOL):
+        return FactorCanonicalIso(iso.f, iso.tau, iso.cone).apply(x, tol).tobytes()
+
+    # the two lower eigenvalues are one breakpoint at the default eps_eig
+    # only, so the two tols give different images
+    x = spectral_sum(np.linalg.qr(SHEAR)[0], np.array([0.2, 0.2 + 5e-9, 0.7]))
+    first = iso.apply(x)
+    first[:] = 0.0
+    again = iso.apply(x)
+    assert again.tobytes() == fresh(x)
+    again[0, 0] = 7.0
+    assert iso.apply(x).tobytes() == fresh(x)
+
+    tight = ToleranceConfig(eps_eig=1e-12, eps_proj=1e-12)
+    assert fresh(x, tight) != fresh(x)
+    assert iso.apply(x, tight).tobytes() == fresh(x, tight)
+    assert iso.apply(x).tobytes() == fresh(x)
+
+    x[0, 0] += 0.01
+    assert iso.apply(x).tobytes() == fresh(x)
 
 
 def _count_calls(monkeypatch, module, names, calls):

@@ -423,7 +423,7 @@ def test_reassembly_residuals_reproduce_the_decomposer_verification(rng, cone):
 def test_reassembly_validates_each_block_once(count_calls):
     """One sample over profile (2, 3) runs check_hermitian 2 times: once
     per codomain slot, where the restricted oracle takes the black box's
-    image block into an element (1 per slot). random_ds_element draws
+    image block into an element (1 per slot). random_ds_elements draws
     exactly Hermitian blocks, and the blocks of an element are not checked
     again, so neither the sample, nor its embedding in one slot, nor an
     iso's image of either is checked."""
@@ -435,6 +435,25 @@ def test_reassembly_validates_each_block_once(count_calls):
     checks = count_calls(speclat.validation.check_hermitian)
     reassembly_residuals(oracle, rng_from(0), 1, dec.permutation_, dec.block_oracles_, dec.shift_)
     assert len(checks) == 2
+
+
+@pytest.mark.parametrize("cone, draws", [("eff", 2), ("sa", 0)])
+def test_reassembly_draws_each_slot_once_and_maps_each_block_once(count_calls, cone, draws):
+    """s = 5 samples over profile (2, 3) with shear blocks: one stacked QR
+    per slot draws the effects (the self-adjoint cone draws with no QR),
+    the oracle's image of each sample makes one QR per shear block, and
+    the block oracles, which send each sampled block through the same
+    black box again, replay those images. Each sampled block is solved
+    once: 2 s eighs."""
+    s = 5
+    iso = random_direct_sum_iso(rng_from(3), BlockProfile((2, 3)), cone, tau_kinds=("shear",))
+    oracle = OrderIsoOracle.from_iso(iso)
+    dec = DirectSumIsoDecomposer(n_verify=1, random_state=0).fit(oracle)
+    qrs = count_calls(np.linalg.qr)
+    eighs = count_calls(np.linalg.eigh)
+    reassembly_residuals(oracle, rng_from(0), s, dec.permutation_, dec.block_oracles_, dec.shift_)
+    assert len(qrs) == draws + 2 * s
+    assert len(eighs) == 2 * s
 
 
 def _nan_element(profile):
